@@ -30,4 +30,5 @@ class OutOfRange(WqedError):
 
 
 class NonConvergence(WqedError):
-    """A Newton iteration failed to converge from a given seed."""
+    """An iteration failed to converge: the Halley iteration for a Lambert W
+    branch, or the oracle's observed convergence order."""

@@ -1,16 +1,16 @@
-"""Scattering parameters, complex pole finding, and the no-upper-half-plane
-pole check.
+"""Scattering parameters, their poles, and the no-upper-half-plane check.
 
 Causality of the chain shows up in the analytic structure of its scattering
 parameters: all poles in the detuning plane must lie in the closed lower
-half-plane. For rational functions the poles are read off directly; the
-two-qubit round-trip (Fabry-Perot) transmission is transcendental and its
-poles are found by Newton iteration seeded on a grid.
+half-plane. For rational functions the poles are read off directly. The
+two-qubit round-trip (Fabry-Perot) transmission is transcendental, but it has
+one pole per sign and Lambert W branch (Corless et al., Adv. Comput. Math. 5
+(1996) 329), so its poles in a window are enumerated in closed form.
 """
 
 from __future__ import annotations
 
-import logging
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import NonConvergence
 from .momentum import RationalFn
-
-log = logging.getLogger(__name__)
 
 #: default search rectangle in units of j0: re in [-20, 20], im in [-20, 2]
 DEFAULT_WINDOW = (-20.0, 20.0, -20.0, 2.0)
@@ -42,6 +40,8 @@ class TransferFn:
             raise ValueError("kind must be 'rational' or 'fabry_perot'")
         if self.kind == "rational" and self.rational is None:
             raise ValueError("rational kind needs a RationalFn")
+        if self.kind == "fabry_perot" and not (self.j0 > 0 and self.L > 0):
+            raise ValueError("fabry_perot kind needs j0 > 0 and L > 0")
         if self.window is None:
             scale = self.j0 if self.j0 > 0 else 1.0
             object.__setattr__(
@@ -50,7 +50,11 @@ class TransferFn:
     def __call__(self, delta):
         if self.kind == "rational":
             return self.rational(delta)
-        return self._fp_value(delta)
+        # t^2 e^{ikL} / (1 - r^2 e^{2ikL}) with t = delta / (delta + i j0)
+        delta = np.asarray(delta, dtype=complex)
+        val = (delta * delta * np.exp(1j * (self.omega + delta) * self.L)
+               / self.denominator(delta))
+        return val if val.ndim else complex(val)
 
     def _round_trip(self, delta):
         delta = np.asarray(delta, dtype=complex)
@@ -60,27 +64,10 @@ class TransferFn:
         return r * r * np.exp(2j * k * self.L)
 
     def denominator(self, delta):
-        """Zero exactly at the poles (for the fabry_perot kind)."""
-        if self.kind == "rational":
-            den = np.ones_like(np.asarray(delta, dtype=complex))
-            for p, m in self.rational.poles:
-                den = den * (np.asarray(delta, dtype=complex) - p) ** m
-            return den
-        # multiply through by (delta + i*j0)^2 to remove the removable
-        # singularity of r^2 at the single-qubit pole
+        """(delta + i j0)^2 (1 - r^2 e^{2ikL}): entire, zero at the poles."""
         delta = np.asarray(delta, dtype=complex)
-        j0 = self.j0
-        k = self.omega + delta
-        return ((delta + 1j * j0) ** 2
-                + j0 * j0 * np.exp(2j * k * self.L))
-
-    def _fp_value(self, delta):
-        delta = np.asarray(delta, dtype=complex)
-        j0 = self.j0
-        k = self.omega + delta
-        t = delta / (delta + 1j * j0)
-        val = t * t * np.exp(1j * k * self.L) / (1.0 - self._round_trip(delta))
-        return val if val.ndim else complex(val)
+        j0, k = self.j0, self.omega + delta
+        return (delta + 1j * j0) ** 2 + j0 * j0 * np.exp(2j * k * self.L)
 
 
 def chain_transmission(j0: float, omega: float, L: float) -> TransferFn:
@@ -106,61 +93,71 @@ def transmission_partial_sum(f: TransferFn, delta, n_max: int):
     return t * t * np.exp(1j * k * f.L) * acc
 
 
-def _newton(f: TransferFn, z0: complex, max_iter: int = 50,
-            tol: float = 1e-12) -> complex:
-    z = z0
-    for _ in range(max_iter):
-        h = 1e-7 * (1 + abs(z))
-        d = f.denominator(z)
-        dp = (f.denominator(z + h) - f.denominator(z - h)) / (2 * h)
-        if dp == 0:
-            raise NonConvergence(f"flat denominator at {z}")
-        step = d / dp
-        z = z - step
-        if abs(step) < tol * (1 + abs(z)):
-            return z
-    raise NonConvergence(f"Newton did not converge from seed {z0}")
+def _lambertw(log_z: complex, k: int) -> complex:
+    """Branch k of Lambert W at z = exp(log_z); Im log_z in (-pi, pi] puts
+    negative real z on the upper side of the cut (Corless et al.). Halley's
+    iteration on w e^{w - Re log_z} = e^{i Im log_z} never forms a huge z."""
+    s, phi = log_z.real, log_z.imag
+    z = cmath.exp(log_z) if s < 2.0 else None
+    # Initial guesses (Corless et al., sec. 4), complex off the real axis: the
+    # series about the branch point -1/e, shared by W_0 and W_{-1} (W_1 below
+    # the cut); log(1 + z) for W_0 at moderate z; else L1 - L2 + L2 / L1.
+    if z is not None and abs(z + 1.0 / math.e) < 0.3 and (
+            k == 0 or k == (-1 if phi >= 0 else 1)):
+        p = cmath.sqrt(2.0 * (math.e * z + 1.0)) * (1.0 if k == 0 else -1.0)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    elif k == 0 and z is not None and z.real > -0.5:
+        w = cmath.log(1.0 + z)
+    else:
+        l1 = complex(s, phi + 2.0 * math.pi * k)
+        w = l1 - cmath.log(l1) + cmath.log(l1) / l1
+    unit = cmath.exp(1j * phi)
+    for _ in range(50):
+        ew = cmath.exp(w - s)
+        f = w * ew - unit
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-8 * abs(w):  # cubic: w is now at rounding level
+            return w
+    raise NonConvergence(f"Halley iteration for W_{k}(exp({log_z})) failed")
 
 
-def find_poles(f: TransferFn, window: tuple | None = None,
-               grid: int = 40) -> list[complex]:
+def find_poles(f: TransferFn, window: tuple | None = None) -> list[complex]:
     """Poles of f inside the window (re_lo, re_hi, im_lo, im_hi).
 
-    Rational functions report their exact poles. The Fabry-Perot kind runs
-    Newton iterations from a grid of seeds, deduplicates at 1e-8, and keeps
-    only verified roots (|denominator| < 1e-10).
+    Rational functions report their exact poles. With u = D + i*j0 the
+    Fabry-Perot denominator vanishes where u e^{-iuL} = +-i j0 e^{i omega L +
+    j0 L}, i.e. at D = i W_k(+-j0 L e^{j0 L + i omega L}) / L - i j0: one pole
+    per sign and branch k (a double zero is listed twice).
     """
     if window is None:
         window = f.window
     re_lo, re_hi, im_lo, im_hi = window
-
-    def inside(z):
-        return re_lo <= z.real <= re_hi and im_lo <= z.imag <= im_hi
-
     if f.kind == "rational":
-        return sorted((p for p, _ in f.rational.poles if inside(p)),
-                      key=lambda z: (z.real, z.imag))
-
-    roots: list[complex] = []
-    res = np.linspace(re_lo, re_hi, grid)
-    ims = np.linspace(im_lo, im_hi, grid)
-    for re in res:
-        for im in ims:
-            try:
-                z = _newton(f, complex(re, im))
-            except NonConvergence as exc:
-                log.debug("seed (%g, %g): %s", re, im, exc)
-                continue
-            if not inside(z) or abs(f.denominator(z)) >= 1e-10:
-                continue
-            if all(abs(z - r) > 1e-8 for r in roots):
-                roots.append(z)
-    return sorted(roots, key=lambda z: (z.real, z.imag))
+        poles = [p for p, _ in f.rational.poles]
+    else:
+        L, x = f.L, f.j0 * f.L
+        # Re D = -Im W_k / L and |Im W_k| >= (2|k| - 2) pi, so no branch with
+        # |k| > k_max reaches the window
+        k_max = math.floor(max(abs(re_lo), abs(re_hi)) * L / (2 * math.pi)) + 1
+        log_zs = [complex(math.log(x) + x,
+                          cmath.phase(sign * cmath.exp(1j * f.omega * L)))
+                  for sign in (1.0, -1.0)]
+        poles = [1j * _lambertw(log_z, k) / L - 1j * f.j0
+                 for log_z in log_zs for k in range(-k_max, k_max + 1)]
+    return sorted((p for p in poles
+                   if re_lo <= p.real <= re_hi and im_lo <= p.imag <= im_hi),
+                  key=lambda z: (z.real, z.imag))
 
 
 def check_no_uhp(f: TransferFn, window: tuple | None = None,
                  margin: float = 1e-9) -> dict:
-    """Report whether every pole in the window sits at Im <= margin."""
+    """Report whether every pole in the window sits at Im <= margin.
+
+    Fabry-Perot poles pass on every branch: |W| e^{Re W} = j0 L e^{j0 L}
+    forces Re W_k <= j0 L (x e^x increases), so Im D = Re W_k / L - j0 <= 0,
+    with equality only at D = 0 when omega L is in pi*Z.
+    """
     poles = find_poles(f, window)
     worst = max((p.imag for p in poles), default=-math.inf)
     return {"pass": worst <= margin, "poles": poles, "worst_im": worst}
