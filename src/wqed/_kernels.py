@@ -1,39 +1,21 @@
-"""Hot numeric kernels with an optional numba backend.
+"""Hot numeric kernels, numpy only.
 
-Two code paths exist for each kernel: a numba ``@njit`` build and a pure
-numpy fallback. Selection happens at import time:
-
-* set ``WQED_DISABLE_NUMBA=1`` to force the numpy path;
-* if numba is missing or fails to import, the numpy path is used silently.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+* ``eval_terms_grid`` sums a packed closed-form term list on a time grid,
+  one array pass per term.
+* ``dde_rk4`` integrates the delayed qubit-amplitude equations with RK4 and
+  the method of steps, one block of steps at a time. A block is never longer
+  than the shortest cross-qubit delay, so every delayed value it reads is
+  already stored: the cross-qubit forcing of a whole block is computed with
+  array operations, and only each qubit's scalar self-decay recurrence runs
+  step by step (Bellen & Zennaro, *Numerical Methods for Delay Differential
+  Equations*, OUP 2003).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no")
-
-
-_DISABLED = _flag("WQED_DISABLE_NUMBA")
-
-if not _DISABLED:
-    try:
-        import numba
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA
 
 
 @dataclass(frozen=True)
@@ -50,53 +32,17 @@ class PackedTerms:
 # Series evaluation over a time grid
 # ---------------------------------------------------------------------------
 
-def _eval_terms_grid_loop(delays, poles, coeffs, anti, t, out):
-    nterm = delays.shape[0]
-    npoly = coeffs.shape[1]
-    nt = t.shape[0]
-    for i in range(nterm):
-        rate = -1j * poles[i]
-        for j in range(nt):
-            tau = t[j] - delays[i]
-            x = -tau if anti[i] else tau
-            if x > 0.0:
-                theta = 1.0
-            elif x == 0.0:
-                theta = 0.5
-            else:
-                continue
-            p = coeffs[i, npoly - 1]
-            for k in range(npoly - 2, -1, -1):
-                p = p * tau + coeffs[i, k]
-            out[j] += theta * p * np.exp(rate * tau)
-
-
-def _eval_terms_grid_numpy(delays, poles, coeffs, anti, t, out):
-    for i in range(delays.shape[0]):
-        tau = t - delays[i]
-        x = -tau if anti[i] else tau
-        theta = np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
-        poly = np.zeros_like(tau, dtype=complex)
-        for c in coeffs[i, ::-1]:
-            poly = poly * tau + c
-        out += theta * poly * np.exp(-1j * poles[i] * tau)
-
-
-if USING_NUMBA:
-    _eval_terms_grid_jit = numba.njit(cache=True)(_eval_terms_grid_loop)
-
-
 def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
     """Evaluate a packed term list on a time grid; returns complex array."""
     out = np.zeros(t.shape[0], dtype=complex)
-    if packed.delays.shape[0] == 0:
-        return out
-    if USING_NUMBA:
-        _eval_terms_grid_jit(packed.delays, packed.poles, packed.coeffs,
-                             packed.anti, t, out)
-    else:
-        _eval_terms_grid_numpy(packed.delays, packed.poles, packed.coeffs,
-                               packed.anti, t, out)
+    for i in range(packed.delays.shape[0]):
+        tau = t - packed.delays[i]
+        x = -tau if packed.anti[i] else tau
+        theta = np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
+        poly = np.zeros_like(tau, dtype=complex)
+        for c in packed.coeffs[i, ::-1]:
+            poly = poly * tau + c
+        out += theta * poly * np.exp(-1j * packed.poles[i] * tau)
     return out
 
 
@@ -105,141 +51,118 @@ def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # alpha_j' = b_j(t) - (gamma0/2) * sum_l K[j,l] * alpha_l(t - d[j,l]),
-# with d[j,l] an exact multiple of dt and K[j,l] the propagation phase.
+# with d[j,l] = delay_steps[j,l] * dt and K[j,l] the propagation phase.
 # Delayed terms switch on at t = d[j,l]; each step integrates the smooth
 # piecewise extension (activity frozen at the step start), which keeps the
 # scheme fourth-order accurate across the kinks. The drive b_j is the
-# analytic decaying-exponential pulse, switching on at drive_arrival[j].
+# analytic decaying-exponential pulse, switching on (again judged at the
+# step start) at drive_arrival[j].
 #
 # History is stored with one-sided right/left derivatives per node so that
 # half-step delayed lookups interpolate the correct smooth piece with a
 # cubic Hermite (O(dt^4)).
-
-def _dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase, half_gamma,
-             drive_amp, drive_sigma, drive_arrival):
-    nq = alpha0.shape[0]
-    alpha = np.zeros((nsteps + 1, nq), dtype=np.complex128)
-    f_right = np.zeros((nsteps + 1, nq), dtype=np.complex128)
-    f_left = np.zeros((nsteps + 1, nq), dtype=np.complex128)
-    alpha[0, :] = alpha0
-
-    stage = np.zeros(nq, dtype=np.complex128)
-    k1 = np.zeros(nq, dtype=np.complex128)
-    k2 = np.zeros(nq, dtype=np.complex128)
-    k3 = np.zeros(nq, dtype=np.complex128)
-    k4 = np.zeros(nq, dtype=np.complex128)
-
-    # node derivatives at t=0 (right: step-start activity n >= m; left: n > m)
-    for j in range(nq):
-        acc = 0.0 + 0.0j
-        for l in range(nq):
-            if delay_steps[j, l] == 0:
-                acc += kernel_phase[j, l] * alpha[0, l]
-        drv = 0.0 + 0.0j
-        if drive_amp[j] != 0 and 0.0 >= drive_arrival[j]:
-            drv = drive_amp[j] * np.exp(-drive_sigma * (0.0 - drive_arrival[j]))
-        f_right[0, j] = drv - half_gamma * acc
-        f_left[0, j] = 0.0
-
-    for n in range(nsteps):
-        t = n * dt
-        for s in range(4):
-            if s == 0:
-                c = 0.0
-            elif s == 3:
-                c = 1.0
-            else:
-                c = 0.5
-            ts = t + c * dt
-            for j in range(nq):
-                if s == 0:
-                    stage[j] = alpha[n, j]
-                elif s == 1:
-                    stage[j] = alpha[n, j] + 0.5 * dt * k1[j]
-                elif s == 2:
-                    stage[j] = alpha[n, j] + 0.5 * dt * k2[j]
-                else:
-                    stage[j] = alpha[n, j] + dt * k3[j]
-            for j in range(nq):
-                acc = 0.0 + 0.0j
-                for l in range(nq):
-                    m = delay_steps[j, l]
-                    if n < m:
-                        continue  # inactive during this whole step
-                    if m == 0:
-                        acc += kernel_phase[j, l] * stage[l]
-                    elif c == 0.0:
-                        acc += kernel_phase[j, l] * alpha[n - m, l]
-                    elif c == 1.0:
-                        acc += kernel_phase[j, l] * alpha[n + 1 - m, l]
-                    else:
-                        i0 = n - m
-                        y0 = alpha[i0, l]
-                        y1 = alpha[i0 + 1, l]
-                        m0 = f_right[i0, l] * dt
-                        m1 = f_left[i0 + 1, l] * dt
-                        # cubic Hermite at the midpoint of [i0, i0+1]
-                        acc += kernel_phase[j, l] * (
-                            0.5 * (y0 + y1) + 0.125 * (m0 - m1))
-                drv = 0.0 + 0.0j
-                if drive_amp[j] != 0 and t >= drive_arrival[j]:
-                    drv = drive_amp[j] * np.exp(
-                        -drive_sigma * (ts - drive_arrival[j]))
-                res = drv - half_gamma * acc
-                if s == 0:
-                    k1[j] = res
-                elif s == 1:
-                    k2[j] = res
-                elif s == 2:
-                    k3[j] = res
-                else:
-                    k4[j] = res
-        for j in range(nq):
-            alpha[n + 1, j] = alpha[n, j] + (dt / 6.0) * (
-                k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-
-        tn1 = (n + 1) * dt
-        for j in range(nq):
-            acc_r = 0.0 + 0.0j
-            acc_l = 0.0 + 0.0j
-            for l in range(nq):
-                m = delay_steps[j, l]
-                if n + 1 >= m:
-                    acc_r += kernel_phase[j, l] * alpha[n + 1 - m, l]
-                if n >= m:
-                    acc_l += kernel_phase[j, l] * alpha[n + 1 - m, l]
-            drv_r = 0.0 + 0.0j
-            drv_l = 0.0 + 0.0j
-            if drive_amp[j] != 0:
-                if tn1 >= drive_arrival[j]:
-                    drv_r = drive_amp[j] * np.exp(
-                        -drive_sigma * (tn1 - drive_arrival[j]))
-                if n * dt >= drive_arrival[j]:
-                    drv_l = drive_amp[j] * np.exp(
-                        -drive_sigma * (tn1 - drive_arrival[j]))
-            f_right[n + 1, j] = drv_r - half_gamma * acc_r
-            f_left[n + 1, j] = drv_l - half_gamma * acc_l
-
-    return alpha, f_right, f_left
-
-
-if USING_NUMBA:
-    _dde_rk4_jit = numba.njit(cache=True)(_dde_rk4)
-
+#
+# Block scheme: with B the smallest off-diagonal delay in steps, the steps
+# [n0, n0 + B) read cross-qubit history at nodes <= n0 only. Per block, the
+# forcing F_j(c) = b_j - (gamma0/2) * sum_{l != j} K[j,l] alpha_l(delayed)
+# at the stage offsets c = 0, 1/2, 1 is an array expression; the RK4 stages
+# then reduce to the scalar recurrence k = F(c) - (gamma0/2) K[j,j] * stage.
 
 def dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase, half_gamma,
             drive_amp, drive_sigma, drive_arrival):
-    """Run the RK4 method-of-steps integrator; returns (alpha, f_right, f_left)."""
-    args = (
-        np.ascontiguousarray(alpha0, dtype=np.complex128),
-        int(nsteps), float(dt),
-        np.ascontiguousarray(delay_steps, dtype=np.int64),
-        np.ascontiguousarray(kernel_phase, dtype=np.complex128),
-        float(half_gamma),
-        np.ascontiguousarray(drive_amp, dtype=np.complex128),
-        float(drive_sigma),
-        np.ascontiguousarray(drive_arrival, dtype=np.float64),
-    )
-    if USING_NUMBA:
-        return _dde_rk4_jit(*args)
-    return _dde_rk4(*args)
+    """Run the RK4 method-of-steps integrator; returns (alpha, f_right, f_left).
+
+    `delay_steps` must have a zero diagonal and positive off-diagonal
+    entries; the arrays returned have shape (nsteps + 1, nq).
+    """
+    alpha0 = np.asarray(alpha0, dtype=np.complex128)
+    delay_steps = np.asarray(delay_steps, dtype=np.int64)
+    kernel_phase = np.asarray(kernel_phase, dtype=np.complex128)
+    drive_amp = np.asarray(drive_amp, dtype=np.complex128)
+    drive_arrival = np.asarray(drive_arrival, dtype=np.float64)
+    nsteps, dt = int(nsteps), float(dt)
+    half_gamma, drive_sigma = float(half_gamma), float(drive_sigma)
+    nq = alpha0.shape[0]
+    cross = ~np.eye(nq, dtype=bool)
+    if np.any(np.diag(delay_steps) != 0) or np.any(delay_steps[cross] <= 0):
+        raise ValueError("delay_steps needs a zero diagonal and positive "
+                         "off-diagonal entries")
+    block = int(delay_steps[cross].min()) if nq > 1 else max(nsteps, 1)
+    pairs = [(j, l, int(delay_steps[j, l]), complex(kernel_phase[j, l]))
+             for j in range(nq) for l in range(nq) if l != j]
+    self_phase = np.diag(kernel_phase)
+    self_rate = (half_gamma * self_phase).tolist()
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+
+    def drive(times, starts):
+        """b_j at `times`, (nq, nb); on where the step start >= arrival."""
+        on = ((drive_amp != 0)[:, None]
+              & (starts[None, :] >= drive_arrival[:, None]))
+        lag = np.where(on, times[None, :] - drive_arrival[:, None], 0.0)
+        return np.where(on, drive_amp[:, None] * np.exp(-drive_sigma * lag),
+                        0.0)
+
+    alpha = np.zeros((nsteps + 1, nq), dtype=np.complex128)
+    f_right = np.zeros((nsteps + 1, nq), dtype=np.complex128)
+    f_left = np.zeros((nsteps + 1, nq), dtype=np.complex128)
+    alpha[0] = alpha0
+    # node derivatives at t = 0 (right: step-start activity n >= m; left: n > m)
+    zero = np.zeros(1)
+    f_right[0] = drive(zero, zero)[:, 0] - half_gamma * self_phase * alpha0
+
+    for n0 in range(0, nsteps, block):
+        n1 = min(n0 + block, nsteps)
+        t = np.arange(n0, n1) * dt
+
+        # cross-qubit sums at c = 0, 1/2, 1 over steps n >= m; every lookup
+        # ends at node n0
+        acc0, acch, acc1 = (np.zeros((nq, n1 - n0), dtype=np.complex128)
+                            for _ in range(3))
+        for j, l, m, k in pairs:
+            first = max(n0, m)
+            if first >= n1:
+                continue
+            lo, hi = first - m, n1 - m
+            y0, y1 = alpha[lo:hi, l], alpha[lo + 1:hi + 1, l]
+            # cubic Hermite at the midpoint of each [i, i + 1], lo <= i < hi
+            mid = 0.5 * (y0 + y1) + 0.125 * (f_right[lo:hi, l] * dt
+                                              - f_left[lo + 1:hi + 1, l] * dt)
+            acc0[j, first - n0:] += k * y0
+            acch[j, first - n0:] += k * mid
+            acc1[j, first - n0:] += k * y1
+        f0 = drive(t, t) - half_gamma * acc0
+        fh = drive(t + half_dt, t) - half_gamma * acch
+        f1 = drive(t + dt, t) - half_gamma * acc1
+
+        # the sequential part: each qubit's self-decay recurrence
+        for j in range(nq):
+            g = self_rate[j]
+            a = complex(alpha[n0, j])
+            out = []
+            for c0, ch, c1 in zip(f0[j].tolist(), fh[j].tolist(),
+                                  f1[j].tolist()):
+                k1 = c0 - g * a
+                k2 = ch - g * (a + half_dt * k1)
+                k3 = ch - g * (a + half_dt * k2)
+                k4 = c1 - g * (a + dt * k3)
+                a = a + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                out.append(a)
+            alpha[n0 + 1:n1 + 1, j] = out
+
+        # one-sided derivatives at the new nodes p = n0 + 1 .. n1: a delayed
+        # term counts from p >= m on the right and from p > m on the left
+        acc_r = self_phase * alpha[n0 + 1:n1 + 1]
+        acc_l = acc_r.copy()
+        for j, l, m, k in pairs:
+            first = max(n0 + 1, m)
+            if first > n1:
+                continue
+            term = k * alpha[first - m:n1 + 1 - m, l]
+            acc_r[first - n0 - 1:, j] += term
+            skip = 1 if first == m else 0
+            acc_l[first + skip - n0 - 1:, j] += term[skip:]
+        tp = np.arange(n0 + 1, n1 + 1) * dt
+        f_right[n0 + 1:n1 + 1] = drive(tp, tp).T - half_gamma * acc_r
+        f_left[n0 + 1:n1 + 1] = drive(tp, t).T - half_gamma * acc_l
+
+    return alpha, f_right, f_left

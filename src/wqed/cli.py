@@ -71,6 +71,11 @@ CONFIG_SCHEMA = {
 }
 
 
+# Built once: jsonschema.validate would re-check the schema on every call.
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(
+    CONFIG_SCHEMA)
+
+
 class ConfigError(Exception):
     pass
 
@@ -80,17 +85,20 @@ def load_config(path: str):
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}")
+    error = jsonschema.exceptions.best_match(
+        _CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message}")
     for section in raw.values():
         if isinstance(section, dict):
             for key, val in section.items():
                 if isinstance(val, float) and not math.isfinite(val):
                     raise ConfigError(f"non-finite value for {key}")
     ch = raw["chain"]
-    cfg = ChainConfig(ch["n"], ch["omega"], ch["j0"], ch["separation"])
+    try:
+        cfg = ChainConfig(ch["n"], ch["omega"], ch["j0"], ch["separation"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid config: {exc}")
     ini = raw["initial"]
     if ini["kind"] == "excited_qubit":
         q = ini.get("qubit")
@@ -106,16 +114,12 @@ def load_config(path: str):
     return cfg, init, raw["horizon"], raw["grid"]
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = np.column_stack(columns).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+        fh.writelines(row % tuple(r) for r in rows)
 
 
 def cmd_simulate(args) -> int:

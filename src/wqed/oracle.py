@@ -17,6 +17,12 @@ step integrates the smooth one-sided extension of the right-hand side
 (delayed-term activity frozen at the step start), which keeps the scheme
 fourth-order accurate across the Heaviside kinks.
 
+The steps are taken in blocks no longer than the shortest qubit-qubit delay
+(at least 8 steps, since dt <= L/8): inside a block every cross-qubit term
+reads history that is already stored, so ``_kernels.dde_rk4`` evaluates it
+for the whole block with array operations and steps only each qubit's own
+decay term one step at a time.
+
 This module never imports the diagram engine; it exists to check it.
 """
 

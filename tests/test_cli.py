@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -46,6 +47,16 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+
+def test_write_csv_exact_bytes(tmp_path):
+    out = tmp_path / "edge.csv"
+    cli.write_csv(str(out), ["a", "b"],
+                  [np.array([-0.0, 1e-300, 5e-324, 1 / 3]),
+                   np.array([1.0, -2.5, 0.1, 1e16])])
+    assert out.read_bytes() == (
+        b"a,b\n-0,1\n1e-300,-2.5\n4.9406564584124654e-324,0.10000000000000001\n"
+        b"0.33333333333333331,10000000000000000\n")
+
 def test_simulate_field_companion_file(tmp_path):
     conf = _write_config(tmp_path)
     out = tmp_path / "run.csv"
@@ -87,6 +98,19 @@ def test_bad_config_exits_2(tmp_path, mutation):
     assert rc == 2
     assert not out.exists()
 
+
+
+def test_config_schema_is_valid():
+    jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(
+        cli.CONFIG_SCHEMA)
+
+
+def test_chain_rejected_by_config_exits_2(tmp_path, capsys):
+    """The schema admits separation 0; ChainConfig refuses it for n >= 2."""
+    conf = _write_config(tmp_path, chain={"n": 2, "omega": 3.7, "j0": 1.0,
+                                          "separation": 0})
+    assert cli.main(["check", "--what", "no-uhp", conf]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid config:")
 
 def test_nonfinite_value_exits_2(tmp_path):
     path = tmp_path / "conf.json"

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -32,65 +28,167 @@ def test_grid_eval_matches_term_sum():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_numpy_and_loop_paths_agree():
-    rng = np.random.default_rng(1)
-    terms = _random_terms(rng, n=12)
-    packed = _pack_terms(terms)
-    t = np.linspace(0, 6, 500)
-    out_a = np.zeros(t.shape[0], dtype=complex)
-    _kernels._eval_terms_grid_numpy(packed.delays, packed.poles, packed.coeffs,
-                                    packed.anti, t, out_a)
-    out_b = np.zeros(t.shape[0], dtype=complex)
-    _kernels._eval_terms_grid_loop(packed.delays, packed.poles, packed.coeffs,
-                                   packed.anti, t, out_b)
-    np.testing.assert_allclose(out_a, out_b, atol=1e-13)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_jit_path_matches_python_dde():
-    nq = 2
-    dt = 0.01
-    nsteps = 400
-    delay_steps = np.array([[0, 50], [50, 0]], dtype=np.int64)
-    phase = np.exp(1j * 3.0 * dt * delay_steps)
-    alpha0 = np.array([1.0, 0.0], dtype=complex)
+# dde_rk4's scheme as a scalar loop, one step and one qubit at a time (same
+# stages, lookups and switch-on rules): the reference for the block kernel.
+def _reference_dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase,
+                       half_gamma, drive_amp, drive_sigma, drive_arrival):
+    nq = alpha0.shape[0]
+    alpha = np.zeros((nsteps + 1, nq), dtype=np.complex128)
+    f_right = np.zeros((nsteps + 1, nq), dtype=np.complex128)
+    f_left = np.zeros((nsteps + 1, nq), dtype=np.complex128)
+    alpha[0, :] = alpha0
+
+    stage = np.zeros(nq, dtype=np.complex128)
+    k1 = np.zeros(nq, dtype=np.complex128)
+    k2 = np.zeros(nq, dtype=np.complex128)
+    k3 = np.zeros(nq, dtype=np.complex128)
+    k4 = np.zeros(nq, dtype=np.complex128)
+
+    # node derivatives at t=0 (right: step-start activity n >= m; left: n > m)
+    for j in range(nq):
+        acc = 0.0 + 0.0j
+        for l in range(nq):
+            if delay_steps[j, l] == 0:
+                acc += kernel_phase[j, l] * alpha[0, l]
+        drv = 0.0 + 0.0j
+        if drive_amp[j] != 0 and 0.0 >= drive_arrival[j]:
+            drv = drive_amp[j] * np.exp(-drive_sigma * (0.0 - drive_arrival[j]))
+        f_right[0, j] = drv - half_gamma * acc
+        f_left[0, j] = 0.0
+
+    for n in range(nsteps):
+        t = n * dt
+        for s in range(4):
+            if s == 0:
+                c = 0.0
+            elif s == 3:
+                c = 1.0
+            else:
+                c = 0.5
+            ts = t + c * dt
+            for j in range(nq):
+                if s == 0:
+                    stage[j] = alpha[n, j]
+                elif s == 1:
+                    stage[j] = alpha[n, j] + 0.5 * dt * k1[j]
+                elif s == 2:
+                    stage[j] = alpha[n, j] + 0.5 * dt * k2[j]
+                else:
+                    stage[j] = alpha[n, j] + dt * k3[j]
+            for j in range(nq):
+                acc = 0.0 + 0.0j
+                for l in range(nq):
+                    m = delay_steps[j, l]
+                    if n < m:
+                        continue  # inactive during this whole step
+                    if m == 0:
+                        acc += kernel_phase[j, l] * stage[l]
+                    elif c == 0.0:
+                        acc += kernel_phase[j, l] * alpha[n - m, l]
+                    elif c == 1.0:
+                        acc += kernel_phase[j, l] * alpha[n + 1 - m, l]
+                    else:
+                        i0 = n - m
+                        y0 = alpha[i0, l]
+                        y1 = alpha[i0 + 1, l]
+                        m0 = f_right[i0, l] * dt
+                        m1 = f_left[i0 + 1, l] * dt
+                        # cubic Hermite at the midpoint of [i0, i0+1]
+                        acc += kernel_phase[j, l] * (
+                            0.5 * (y0 + y1) + 0.125 * (m0 - m1))
+                drv = 0.0 + 0.0j
+                if drive_amp[j] != 0 and t >= drive_arrival[j]:
+                    drv = drive_amp[j] * np.exp(
+                        -drive_sigma * (ts - drive_arrival[j]))
+                res = drv - half_gamma * acc
+                if s == 0:
+                    k1[j] = res
+                elif s == 1:
+                    k2[j] = res
+                elif s == 2:
+                    k3[j] = res
+                else:
+                    k4[j] = res
+        for j in range(nq):
+            alpha[n + 1, j] = alpha[n, j] + (dt / 6.0) * (
+                k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+
+        tn1 = (n + 1) * dt
+        for j in range(nq):
+            acc_r = 0.0 + 0.0j
+            acc_l = 0.0 + 0.0j
+            for l in range(nq):
+                m = delay_steps[j, l]
+                if n + 1 >= m:
+                    acc_r += kernel_phase[j, l] * alpha[n + 1 - m, l]
+                if n >= m:
+                    acc_l += kernel_phase[j, l] * alpha[n + 1 - m, l]
+            drv_r = 0.0 + 0.0j
+            drv_l = 0.0 + 0.0j
+            if drive_amp[j] != 0:
+                if tn1 >= drive_arrival[j]:
+                    drv_r = drive_amp[j] * np.exp(
+                        -drive_sigma * (tn1 - drive_arrival[j]))
+                if n * dt >= drive_arrival[j]:
+                    drv_l = drive_amp[j] * np.exp(
+                        -drive_sigma * (tn1 - drive_arrival[j]))
+            f_right[n + 1, j] = drv_r - half_gamma * acc_r
+            f_left[n + 1, j] = drv_l - half_gamma * acc_l
+
+    return alpha, f_right, f_left
+
+
+def _chain_args(gaps, nsteps, dt=0.05, omega=3.7, excited=0, pulse=None):
+    """dde_rk4 arguments for a chain whose gaps are whole numbers of steps.
+
+    `pulse` is (sigma, direction, lead): a wavefront `lead` steps outside the
+    entry qubit, so a fractional lead makes each arrival fall between nodes.
+    """
+    x = np.concatenate([[0.0], np.cumsum(gaps)]) * dt
+    nq = x.shape[0]
+    delay_steps = np.rint(np.abs(x[:, None] - x[None, :]) / dt).astype(np.int64)
+    phase = np.exp(1j * omega * delay_steps * dt)
+    alpha0 = np.zeros(nq, dtype=complex)
     amp = np.zeros(nq, dtype=complex)
-    args = (alpha0, nsteps, dt, delay_steps, phase, 1.0, amp, 1.0,
-            np.zeros(nq))
-    a_py, fr_py, fl_py = _kernels._dde_rk4(*args)
-    a_jit, fr_jit, fl_jit = _kernels._dde_rk4_jit(*args)
-    np.testing.assert_allclose(a_py, a_jit, atol=1e-14)
-    np.testing.assert_allclose(fr_py, fr_jit, atol=1e-14)
-    np.testing.assert_allclose(fl_py, fl_jit, atol=1e-14)
+    arrival = np.zeros(nq)
+    sigma = 1.0
+    if pulse is None:
+        alpha0[excited] = 1.0
+    else:
+        sigma, direction, lead = pulse
+        sign = 1.0 if direction == "right" else -1.0
+        front = (x[0] if sign > 0 else x[-1]) - sign * lead * dt
+        amp[:] = -1j * np.sqrt(2.0 * sigma) * np.exp(sign * 1j * omega * x)
+        arrival[:] = sign * (x - front)
+    return (alpha0, nsteps, dt, delay_steps, phase, 1.0, amp, sigma, arrival)
 
 
-def test_disable_flag_forces_numpy_path():
-    code = ("import wqed._kernels as k; "
-            "print(k.USING_NUMBA)")
-    env = dict(os.environ, WQED_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+@pytest.mark.parametrize("args", [
+    _chain_args([], 300),                                 # nq = 1: one block
+    _chain_args([], 300, pulse=(0.7, "right", 41.5)),
+    _chain_args([8], 8 * 12 + 3, dt=1 / 8),               # dt = L/8: B = 8
+    _chain_args([7, 9], 101, dt=1 / 8, excited=1),        # gaps 7L/8, 9L/8: B = 7
+    _chain_args([9, 7, 8], 150, dt=1 / 8, excited=3),
+    _chain_args([8, 11], 131, pulse=(0.7, "right", 6.6)),  # arrivals mid-block
+    _chain_args([9, 8], 131, pulse=(1.3, "left", 4.2)),
+    _chain_args([256], 5 * 256 + 77, dt=5 / 256, omega=200.0),  # Fermi pair, L = 5
+], ids=["single", "single-pulse", "B8", "uneven", "uneven4", "pulse-right",
+        "pulse-left", "fermi"])
+def test_block_rk4_matches_reference_loop(args):
+    nsteps, delay_steps = args[1], args[3]
+    if delay_steps.shape[0] > 1:
+        assert nsteps % delay_steps[delay_steps > 0].min() != 0
+    got = _kernels.dde_rk4(*args)
+    want = _reference_dde_rk4(*args)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (nsteps + 1, delay_steps.shape[0])
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
 
 
-def test_results_identical_with_and_without_numba():
-    """Same amplitudes from both kernel backends (subprocess flips the flag)."""
-    code = """
-import numpy as np
-from wqed.core import ChainConfig, InitialCondition
-from wqed import evaluator, oracle
-cfg = ChainConfig.fermi_pair(1.0, 3.7, 0.5)
-init = InitialCondition.excited(0)
-ts = np.linspace(0.01, 3.0, 101)
-amp = evaluator.excitation_amplitude(cfg, init, 1, 4.0)(ts)
-hist = oracle.integrate_chain(cfg, init, 3.0, 0.5/64)
-np.save("OUT", np.concatenate([amp, hist.alpha[:, 1]]))
-"""
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, WQED_DISABLE_NUMBA=flag)
-        path = f"/tmp/wqed_kernels_{flag}.npy"
-        subprocess.run([sys.executable, "-c", code.replace("OUT", path)],
-                       env=env, check=True, capture_output=True)
-        outs.append(np.load(path))
-    np.testing.assert_allclose(outs[0], outs[1], atol=1e-13)
+def test_block_rk4_rejects_zero_cross_delay():
+    args = list(_chain_args([8], 40))
+    args[3] = np.zeros((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError):
+        _kernels.dde_rk4(*args)
