@@ -7,8 +7,9 @@ independent delay-differential-equation integrator.
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
                    TimeSeriesAmplitude, eval_series, eval_term)
-from .diagrams import (CellKind, Diagram, DiagramState, FinisherSpec, UnitCell,
-                       apply_cell, enumerate_diagrams, finish_excitation,
+from .diagrams import (CellKind, Diagram, DiagramClass, DiagramState,
+                       FinisherSpec, UnitCell, apply_cell, class_function,
+                       diagram_classes, enumerate_diagrams, finish_excitation,
                        finish_field)
 from .errors import (GeometryError, HorizonTooLarge, IllConditioned,
                      NonConvergence, OutOfRange, RealAxisPole, StepTooLarge,

@@ -89,11 +89,11 @@ def load_config(path: str):
         _CONFIG_VALIDATOR.iter_errors(raw))
     if error is not None:
         raise ConfigError(f"invalid config: {error.message}")
-    for section in raw.values():
-        if isinstance(section, dict):
-            for key, val in section.items():
-                if isinstance(val, float) and not math.isfinite(val):
-                    raise ConfigError(f"non-finite value for {key}")
+    for name, section in raw.items():
+        values = section.items() if isinstance(section, dict) else [(name, section)]
+        for key, val in values:
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"non-finite value for {key}")
     ch = raw["chain"]
     try:
         cfg = ChainConfig(ch["n"], ch["omega"], ch["j0"], ch["separation"])

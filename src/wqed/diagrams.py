@@ -6,11 +6,17 @@ contributes its spectrum), propagators multiply in scattering coefficients
 and accumulate delay, and the finisher turns the accumulated rational
 function into closed-form time-domain terms.
 
-Enumeration walks the binary scattering tree: at every qubit encounter the
-photon transmits or reflects, and the requested observable is additionally
-read out at that encounter. Branches whose photon leaves the chain
-terminate. Everything with total delay below the requested horizon is kept,
-so the resulting series is exact for t < t_f.
+At every qubit encounter the photon transmits or reflects, and the
+requested observable is additionally read out at that encounter. Branches
+whose photon leaves the chain terminate. Everything with total delay below
+the requested horizon is kept, so the resulting series is exact for t < t_f.
+
+A diagram's rational function depends only on its numbers of transmissions
+and reflections, and its delay only on how often it crosses each gap. The
+observables therefore sum over weighted classes (`diagram_classes`, a
+dynamic program over those integer counts) rather than over single paths;
+`enumerate_diagrams` walks the binary tree path by path and is kept as the
+reference the classes are tested against.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from .momentum import (RationalFn, coeff_e, coeff_r, coeff_t, inverse_transform,
 
 DEFAULT_DIAGRAM_CAP = 10 ** 6
 _GEOM_TOL = 1e-9
+
+
+def _diagram_cap() -> int:
+    return int(os.environ.get("WQED_DIAGRAM_CAP", DEFAULT_DIAGRAM_CAP))
 
 
 class CellKind(Enum):
@@ -219,8 +229,9 @@ def finish_field(cfg: ChainConfig, d: Diagram, x: float) -> TimeSeriesAmplitude:
     return TimeSeriesAmplitude(shifted, label=f"psi_{fin.branch[0]}:{fin.qubit}")
 
 
-def field_segment(cfg: ChainConfig, d: Diagram) -> tuple[float, float]:
-    """Spatial window owned by a field finisher (Heaviside window bounds)."""
+def field_segment(cfg: ChainConfig, d) -> tuple[float, float]:
+    """Spatial window owned by the field finisher of a Diagram or a
+    DiagramClass (Heaviside window bounds)."""
     fin = d.finisher
     q = fin.qubit
     if fin.branch == "right":
@@ -249,7 +260,7 @@ def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
     if t_f <= 0:
         raise ValueError("t_f must be positive")
     if cap is None:
-        cap = int(os.environ.get("WQED_DIAGRAM_CAP", DEFAULT_DIAGRAM_CAP))
+        cap = _diagram_cap()
     want_qubit = target.kind == "qubit"
     out: list[Diagram] = []
     budget = [cap]
@@ -311,4 +322,139 @@ def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
         walk(cells, state.f, spec.x0, entry, spec.direction)
 
     out.sort(key=Diagram.sort_key)
+    return out
+
+
+@dataclass(frozen=True)
+class DiagramClass:
+    """All diagrams sharing a finisher, gap-crossing counts, #T and #R.
+
+    They share one rational function (`class_function`) and one delay;
+    `weight` is their number. `crossings[g]` counts the hops across the
+    chain's g-th distinct gap length (gaps equal within _GEOM_TOL share a
+    count, in order of first appearance from the left).
+    """
+
+    finisher: UnitCell
+    crossings: tuple[int, ...]
+    n_t: int
+    n_r: int
+    delay: float
+    weight: int
+    self_decay: bool = False
+
+
+def _starter(cfg: ChainConfig, init: InitialCondition) -> RationalFn:
+    if init.kind == "excited_qubit":
+        return _starter_excited(cfg.j0)
+    return start_pulse(cfg, init.pulse).f
+
+
+def class_function(cfg: ChainConfig, init: InitialCondition, n_t: int,
+                   n_r: int) -> RationalFn:
+    """starter * (-i*J0)^n_r * D^n_t / (D + i*J0)^(n_t + n_r), in closed form.
+
+    This is the product of the starter with n_t transmission and n_r
+    reflection coefficients, in any order.
+    """
+    starter = _starter(cfg, init)
+    (c,) = starter.numer
+    c = c * (1, -1j, -1, 1j)[n_r % 4] * cfg.j0 ** n_r
+    scatter = ((-1j * cfg.j0, n_t + n_r),) if n_t + n_r else ()
+    return RationalFn((0j,) * n_t + (c,), starter.poles + scatter)
+
+
+def _gap_counters(cfg: ChainConfig) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Distinct gap lengths (equal within _GEOM_TOL) and each gap's index."""
+    gaps: list[float] = []
+    index: list[int] = []
+    for a, b in zip(cfg.positions, cfg.positions[1:]):
+        for g, length in enumerate(gaps):
+            if abs(b - a - length) <= _GEOM_TOL:
+                index.append(g)
+                break
+        else:
+            index.append(len(gaps))
+            gaps.append(b - a)
+    return tuple(gaps), tuple(index)
+
+
+def diagram_classes(cfg: ChainConfig, init: InitialCondition,
+                    target: FinisherSpec, t_f: float) -> list[DiagramClass]:
+    """The diagrams of `enumerate_diagrams`, grouped into weighted classes.
+
+    A dynamic program over the states (qubit, direction, crossing counts,
+    #T, #R), one hop at a time; each state carries the number of paths that
+    reach it. Classes are emitted by the same rules as the tree walk, and a
+    class's weight is its number of paths. Sorted by delay, then by key.
+    Raises HorizonTooLarge past the cap (default 10^6, overridable via
+    WQED_DIAGRAM_CAP), which counts classes.
+    """
+    if not 0 < t_f < math.inf:
+        raise ValueError("t_f must be positive and finite")
+    cap = _diagram_cap()
+    n = cfg.num_qubits
+    gaps, gap_index = _gap_counters(cfg)
+    want_qubit = target.kind == "qubit"
+    offset = init.pulse.x0 if init.kind == "pulse" else 0.0
+    zero = (0,) * len(gaps)
+    delays = {zero: offset}         # crossing counts -> delay
+    weights: dict[tuple, int] = {}  # class key -> number of paths
+
+    def emit(key, w):
+        weights[key] = weights.get(key, 0) + w
+        if len(weights) > cap:
+            raise HorizonTooLarge(f"diagram class cap {cap} exceeded before "
+                                  f"t_f={t_f}")
+
+    def hop(states, at, direction, crossings, n_t, n_r, w):
+        nxt = at + direction
+        if not 0 <= nxt < n:
+            return  # photon leaves the system, branch terminates
+        counts = list(crossings)
+        counts[gap_index[min(at, nxt)]] += 1
+        counts = tuple(counts)
+        if counts not in delays:
+            delays[counts] = offset + sum(c * g for c, g in zip(counts, gaps))
+        if delays[counts] < t_f:
+            key = (nxt, direction, counts, n_t, n_r)
+            states[key] = states.get(key, 0) + w
+
+    # states of one hop count: (qubit, direction, crossings, #T, #R) -> paths
+    states: dict[tuple, int] = {}
+    if init.kind == "excited_qubit":
+        src = init.qubit
+        if want_qubit and target.qubit == src:
+            emit((src, 0, zero, 0, 0, True), 1)
+        for direction in (1, -1):
+            if not want_qubit:
+                emit((src, direction, zero, 0, 0, False), 1)
+            hop(states, src, direction, zero, 0, 0, 1)
+    elif offset < t_f:
+        direction = 1 if init.pulse.direction == "right" else -1
+        entry = 0 if direction == 1 else n - 1
+        states[(entry, direction, zero, 0, 0)] = 1
+
+    while states:
+        following: dict[tuple, int] = {}
+        for (at, direction, crossings, n_t, n_r), w in states.items():
+            if want_qubit and target.qubit == at:
+                emit((at, 0, crossings, n_t, n_r, False), w)
+            for turn, dt, dr in ((direction, 1, 0), (-direction, 0, 1)):
+                if not want_qubit:
+                    emit((at, turn, crossings, n_t + dt, n_r + dr, False), w)
+                hop(following, at, turn, crossings, n_t + dt, n_r + dr, w)
+        states = following
+
+    out = []
+    for (at, direction, crossings, n_t, n_r, self_decay), w in weights.items():
+        if want_qubit:
+            fin = UnitCell(CellKind.FINISH_QUBIT, qubit=at)
+        else:
+            fin = UnitCell(CellKind.FINISH_FIELD, qubit=at,
+                           branch="right" if direction == 1 else "left")
+        out.append(DiagramClass(fin, crossings, n_t, n_r, delays[crossings], w,
+                                self_decay))
+    out.sort(key=lambda c: (c.delay, c.crossings, c.finisher.sort_key(),
+                            c.n_t, c.n_r))
     return out

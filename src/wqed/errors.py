@@ -18,7 +18,9 @@ class RealAxisPole(WqedError):
 
 
 class HorizonTooLarge(WqedError):
-    """Diagram enumeration would exceed the configured cap."""
+    """The horizon is out of reach: diagram enumeration would exceed the
+    configured cap, or a pole order would exceed 171, past which the
+    residue coefficient's (k-1)! overflows float64."""
 
 
 class StepTooLarge(WqedError):

@@ -1,4 +1,8 @@
-"""Assemble observables from enumerated diagrams.
+"""Assemble observables from weighted diagram classes.
+
+Within one call the residue step runs once per distinct class function, at
+delay 0; each class then shifts those terms to its delay and scales them by
+its weight (its number of diagrams).
 
 Qubit excitation amplitudes are direct sums of finished diagrams. Field
 profiles are piecewise: every field finisher owns the waveguide segment
@@ -20,9 +24,12 @@ import numpy as np
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition,
                    TimeSeriesAmplitude, eval_term)
-from .diagrams import (CellKind, Diagram, FinisherSpec, enumerate_diagrams,
-                       field_segment, field_terms, finish_excitation,
-                       start_pulse)
+from .diagrams import (Diagram, FinisherSpec, class_function,
+                       diagram_classes, field_segment, field_terms,
+                       finish_excitation, start_pulse)
+# Unused here: kept only because perfbench/tracing.py wraps this name and
+# its self-test requires every wrap target to exist.
+from .diagrams import enumerate_diagrams  # noqa: F401
 from .momentum import inverse_transform
 
 _MERGE_TOL = 1e-9
@@ -73,11 +80,28 @@ def merge_terms(terms) -> tuple[DelayedTerm, ...]:
 def excitation_amplitude(cfg: ChainConfig, init: InitialCondition,
                          qubit: int, t_f: float) -> TimeSeriesAmplitude:
     """Closed-form excitation amplitude of `qubit`, exact for t < t_f."""
-    diagrams = enumerate_diagrams(cfg, init, FinisherSpec("qubit", qubit), t_f)
+    classes = diagram_classes(cfg, init, FinisherSpec("qubit", qubit), t_f)
     terms: list[DelayedTerm] = []
-    for d in diagrams:
-        terms.extend(finish_excitation(cfg, d).terms)
+    for _, class_terms in _class_terms(
+            cfg, init, classes, lambda d: finish_excitation(cfg, d).terms):
+        terms.extend(class_terms)
     return TimeSeriesAmplitude(merge_terms(terms), label=f"e:{qubit}")
+
+
+def _class_terms(cfg: ChainConfig, init: InitialCondition, classes, finish):
+    """Yield (class, terms): `finish` runs once per distinct class function
+    at delay 0, and each class shifts the result to its delay and scales it
+    by its weight."""
+    base: dict[tuple, tuple[DelayedTerm, ...]] = {}
+    for c in classes:
+        key = (c.n_t, c.n_r, c.self_decay)
+        if key not in base:
+            f = class_function(cfg, init, c.n_t, c.n_r)
+            base[key] = tuple(finish(Diagram((c.finisher,), f, 0.0,
+                                             c.self_decay)))
+        yield c, [replace(tm, delay=c.delay, poly_coeffs=tuple(
+                      np.asarray(tm.poly_coeffs) * float(c.weight)))
+                  for tm in base[key]]
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +159,11 @@ def _spatial_terms(cfg: ChainConfig, init: InitialCondition,
             out.append(_SpatialTerm(branch, lo, hi, front, tm.poly_coeffs,
                                     tm.pole + tm.carrier))
 
-    for d in enumerate_diagrams(cfg, init, FinisherSpec("field"), t_f):
-        fin = d.finisher
-        lo, hi = field_segment(cfg, d)
-        add(field_terms(cfg, d), fin.branch, cfg.positions[fin.qubit], lo, hi)
+    classes = diagram_classes(cfg, init, FinisherSpec("field"), t_f)
+    for c, terms in _class_terms(cfg, init, classes,
+                                 lambda d: field_terms(cfg, d)):
+        lo, hi = field_segment(cfg, c)
+        add(terms, c.finisher.branch, cfg.positions[c.finisher.qubit], lo, hi)
 
     if init.kind == "pulse":
         spec = init.pulse

@@ -32,22 +32,44 @@ def _theta(x):
     return np.where(x > 0, 1.0, np.where(x == 0, THETA_AT_ZERO, 0.0))
 
 
-def _term(tau, j0, omega, power, sign):
-    """sign * (tau*J0)^power / power! * exp(-(J0+iW)tau) * Theta(tau).
+_LOG_FLOAT_MAX = 709.0   # just below log(largest float64)
 
-    Evaluated in log space for large powers (deep Markovian regime has
-    hundreds of active round trips and the bare factorial overflows).
+
+def _power_ratio(x, power):
+    """x^power / power!, evaluated directly while that cannot overflow.
+
+    Otherwise it goes to log space, which gives 0 for x <= 0 (every caller
+    multiplies by Theta): for large powers (the deep Markovian regime has
+    hundreds of active round trips and the bare factorial overflows) and
+    for large |x| at long times, including the x < 0 side of a term that
+    has not switched on yet. The callers' exponential decay is evaluated
+    at max(tau, 0) for the same reason (see `_decay`).
     """
+    x = np.asarray(x, dtype=float)
+    top = float(np.max(np.abs(x), initial=1.0))
+    if power < 150 and power * math.log(top) < _LOG_FLOAT_MAX:
+        return x ** power / math.factorial(power)
+    safe = np.where(x > 0, x, 1.0)
+    return np.where(x > 0, np.exp(power * np.log(safe) - math.lgamma(power + 1)),
+                    0.0)
+
+
+def _decay(tau, j0, omega):
+    """exp(-(J0+iW)tau) * Theta(tau).
+
+    The exponential is taken at max(tau, 0): for a term that has not
+    switched on yet it would be exp(J0|tau|), which overflows past
+    J0|tau| = 709 and turns inf * Theta = inf * 0 into NaN.
+    """
+    on = np.where(tau > 0, tau, 0.0)
+    return np.exp(-(j0 + 1j * omega) * on) * _theta(tau)
+
+
+def _term(tau, j0, omega, power, sign):
+    """sign * (tau*J0)^power / power! * exp(-(J0+iW)tau) * Theta(tau)."""
     tau = np.asarray(tau, dtype=float)
-    theta = _theta(tau)
-    if power < 150:
-        mag = (tau * j0) ** power / math.factorial(power)
-    else:
-        safe = np.where(tau > 0, tau * j0, 1.0)
-        mag = np.where(tau > 0,
-                       np.exp(power * np.log(safe) - math.lgamma(power + 1)),
-                       0.0)
-    return sign * mag * np.exp(-(j0 + 1j * omega) * tau) * theta
+    mag = _power_ratio(tau * j0, power)
+    return sign * mag * _decay(tau, j0, omega)
 
 
 def fermi_e1_terms(t, j0, omega, L):
@@ -102,29 +124,29 @@ def fermi_full_state(t, x, j0, omega, L):
     tmax = float(np.max(t))
     nmax = max(1, math.ceil(tmax / (2 * L)) + 1)
     shape = np.broadcast(t, x).shape
-    decay = lambda tau: np.exp(-(j0 + 1j * omega) * tau) * _theta(tau)
 
     # internal right-mover: n full round trips, then -L/2 -> x
     acc = np.zeros(shape, dtype=complex)
     for n in range(nmax + 1):
         tau = t - 2 * n * L - (x + half)
-        acc = acc + (j0 * tau) ** (2 * n) / math.factorial(2 * n) * decay(tau)
+        acc = acc + _power_ratio(j0 * tau, 2 * n) * _decay(tau, j0, omega)
     psi_ri = -1j * rt * inside * acc
 
     # internal left-mover: odd number of crossings, reflected at +L/2
     acc = np.zeros(shape, dtype=complex)
     for n in range(nmax + 1):
         tau = t - (2 * n + 1) * L + (x - half)
-        acc = acc + ((j0 * tau) ** (2 * n + 1)
-                     / math.factorial(2 * n + 1) * decay(tau))
+        acc = acc + _power_ratio(j0 * tau, 2 * n + 1) * _decay(tau, j0, omega)
     psi_li = 1j * rt * inside * acc
 
     # external right-mover past +L/2: transmitted through qubit +1
     acc = np.zeros(shape, dtype=complex)
     for n in range(nmax + 1):
         tau = t - (2 * n + 1) * L - (x - half)
-        acc = acc + ((j0 * tau) ** (2 * n) * (j0 * tau - (2 * n + 1))
-                     / math.factorial(2 * n + 1) * decay(tau))
+        # (J0 tau)^(2n) (J0 tau - (2n+1)) / (2n+1)!
+        g = (_power_ratio(j0 * tau, 2 * n + 1)
+             - _power_ratio(j0 * tau, 2 * n))
+        acc = acc + g * _decay(tau, j0, omega)
     psi_re = 1j * rt * right_out * acc
 
     # external left-mover past -L/2: direct decay plus returned bounces
@@ -133,10 +155,10 @@ def fermi_full_state(t, x, j0, omega, L):
         tau = t - 2 * n * L + (x + half)
         if n == 0:
             g = np.ones(shape)
-        else:
-            g = ((j0 * tau) ** (2 * n)
-                 - 2 * n * (j0 * tau) ** (2 * n - 1)) / math.factorial(2 * n)
-        acc = acc + g * decay(tau)
+        else:   # ((J0 tau)^(2n) - 2n (J0 tau)^(2n-1)) / (2n)!
+            g = (_power_ratio(j0 * tau, 2 * n)
+                 - _power_ratio(j0 * tau, 2 * n - 1))
+        acc = acc + g * _decay(tau, j0, omega)
     psi_le = -1j * rt * left_out * acc
 
     return {

@@ -23,17 +23,19 @@ only for tau < 0 (anti-causal terms, flagged).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DelayedTerm, PulseSpec
-from .errors import IllConditioned, RealAxisPole
+from .errors import HorizonTooLarge, IllConditioned, RealAxisPole
 
 _MERGE_RTOL = 1e-12     # coincident poles merge into higher multiplicity
 _SPLIT_ATOL = 1e-9      # distinct poles closer than this are ill-conditioned
 _TRIM_RTOL = 1e-13      # relative cutoff for trailing numerator noise
+_MAX_ORDER = 171        # (k-1)! overflows float64 for larger pole orders k
 
 
 def _canonical_poles(poles) -> tuple[tuple[complex, int], ...]:
@@ -202,12 +204,21 @@ def partial_fractions(f: RationalFn) -> list[tuple[complex, int, complex]]:
     return pieces
 
 
-def _check_recombination(f: RationalFn, pieces, npts: int = 16) -> None:
-    rng = np.random.default_rng(20260826)
+@functools.cache
+def _check_uniforms() -> np.ndarray:
+    """Unit uniforms of the recombination check's points, drawn once, on
+    first use: drawing at import would load numpy.random with the package."""
+    u = np.random.default_rng(20260826).random(16)
+    u.flags.writeable = False
+    return u
+
+
+def _check_recombination(f: RationalFn, pieces) -> None:
     scale = 1 + max((abs(p) for p, _ in f.poles), default=1.0)
-    pts = rng.uniform(-4 * scale, 4 * scale, npts)
+    # bitwise equal to rng.uniform(-4 * scale, 4 * scale) on the same draws
+    pts = -4 * scale + (4 * scale - (-4 * scale)) * _check_uniforms()
     ref = np.atleast_1d(f(pts))
-    rec = np.zeros(npts, dtype=complex)
+    rec = np.zeros(len(pts), dtype=complex)
     for p, k, c in pieces:
         rec += c / (pts - p) ** k
     denom = np.maximum(np.abs(ref), 1e-30)
@@ -220,10 +231,15 @@ def inverse_transform(f: RationalFn, delay: float, carrier: float) -> list[Delay
 
     Returns one DelayedTerm per pole (orders merged into the polynomial).
     Poles on the real axis are rejected: the transform is not absolutely
-    convergent there and the caller has to regularize first.
+    convergent there and the caller has to regularize first. Pole orders
+    above 171 raise HorizonTooLarge: (k-1)! overflows float64 there.
     """
     if not f.is_strictly_proper:
         raise ValueError("inverse transform requires a strictly proper function")
+    top = max((m for _, m in f.poles), default=0)
+    if top > _MAX_ORDER:
+        raise HorizonTooLarge(f"pole order {top} exceeds {_MAX_ORDER}: "
+                              f"({top}-1)! overflows float64")
     for p, _ in f.poles:
         if abs(p.imag) < 1e-14 * (1 + abs(p)):
             raise RealAxisPole(f"pole {p} sits on the real axis")

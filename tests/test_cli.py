@@ -122,6 +122,20 @@ def test_nonfinite_value_exits_2(tmp_path):
                      str(tmp_path / "o.csv"), "--observables", "e:0"]) == 2
 
 
+@pytest.mark.parametrize("horizon", ["Infinity", "NaN"])
+@pytest.mark.parametrize("argv", [["simulate", "--observables", "e:1"],
+                                  ["check", "--what", "causality"]])
+def test_nonfinite_horizon_exits_2(tmp_path, capsys, horizon, argv):
+    path = tmp_path / "conf.json"
+    path.write_text('{"chain": {"n": 2, "omega": 3.7, "j0": 1.0, '
+                    '"separation": 0.5}, '
+                    '"initial": {"kind": "excited_qubit", "qubit": 0}, '
+                    f'"horizon": {horizon}, "grid": {{"t_points": 8}}}}')
+    extra = ["--out", str(tmp_path / "o.csv")] if argv[0] == "simulate" else []
+    assert cli.main(argv + extra + [str(path)]) == 2
+    assert capsys.readouterr().err == "error: non-finite value for horizon\n"
+
+
 def test_empty_observables_exits_2(tmp_path):
     conf = _write_config(tmp_path)
     rc = cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),

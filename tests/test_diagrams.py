@@ -1,14 +1,21 @@
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wqed.core import ChainConfig, InitialCondition, PulseSpec
+from wqed.core import (ChainConfig, InitialCondition, PulseSpec,
+                       TimeSeriesAmplitude, eval_term)
 from wqed.diagrams import (CellKind, Diagram, FinisherSpec, UnitCell,
-                           apply_cell, enumerate_diagrams, field_segment,
+                           apply_cell, class_function, diagram_classes,
+                           enumerate_diagrams, field_segment, field_terms,
                            finish_excitation, finish_field, start_pulse)
-from wqed.errors import GeometryError, HorizonTooLarge
-from wqed.momentum import simple_pole
+from wqed.errors import GeometryError, HorizonTooLarge, IllConditioned
+from wqed.evaluator import excitation_amplitude, field_profile
+from wqed.momentum import (coeff_r, coeff_t, inverse_transform, mul,
+                           simple_pole)
 
 
 def fermi_cfg(L=1.0, omega=4.0, j0=1.0):
@@ -202,3 +209,182 @@ def test_pulse_start_state():
                             FinisherSpec("qubit", 0), 2.0 + 1e-9)
     assert len(ds) == 1
     assert ds[0].total_delay == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Weighted diagram classes against the per-path tree walk
+# ---------------------------------------------------------------------------
+
+def _scatter_counts(d):
+    n_t = sum(c.kind is CellKind.TRANSMIT for c in d.cells)
+    n_r = sum(c.kind is CellKind.REFLECT for c in d.cells)
+    return n_t, n_r
+
+
+def _finisher_key(fin):
+    return fin.kind, fin.qubit, fin.branch
+
+
+def _tree_counts(diagrams):
+    """Path count per (finisher, delay, #T, #R, self_decay) of the walk."""
+    return Counter((_finisher_key(d.finisher), d.total_delay)
+                   + _scatter_counts(d) + (d.self_decay,) for d in diagrams)
+
+
+def _class_counts(classes):
+    out = Counter()
+    for c in classes:
+        out[(_finisher_key(c.finisher), c.delay, c.n_t, c.n_r,
+             c.self_decay)] += c.weight
+    return out
+
+
+def _per_path_amplitude(cfg, init, qubit, t_f):
+    terms = []
+    for d in enumerate_diagrams(cfg, init, FinisherSpec("qubit", qubit), t_f):
+        terms.extend(finish_excitation(cfg, d).terms)
+    return TimeSeriesAmplitude(tuple(terms))
+
+
+def _per_path_field(cfg, init, t, xs):
+    """Right/left field at t from every path's own finish_field, plus the
+    undisturbed incident pulse on the incidence-side exterior segment."""
+    t_f = t * (1 + 1e-12) + 1e-12
+    pieces = []                       # (branch, lo, hi, x_from, terms)
+    for d in enumerate_diagrams(cfg, init, FinisherSpec("field"), t_f):
+        lo, hi = field_segment(cfg, d)
+        pieces.append((d.finisher.branch, lo, hi, cfg.positions[d.finisher.qubit],
+                       field_terms(cfg, d)))
+    if init.kind == "pulse":
+        spec = init.pulse
+        terms = tuple(inverse_transform(start_pulse(cfg, spec).f, spec.x0,
+                                        cfg.omega))
+        if spec.direction == "right":
+            x = cfg.positions[0]
+            pieces.append(("right", -np.inf, x, x, terms))
+        else:
+            x = cfg.positions[-1]
+            pieces.append(("left", x, np.inf, x, terms))
+    out = {"right": np.zeros(len(xs), complex), "left": np.zeros(len(xs), complex)}
+    scale = np.zeros(len(xs))
+    for branch, lo, hi, x_from, terms in pieces:
+        sign = 1.0 if branch == "right" else -1.0
+        for i, x in enumerate(xs):
+            w = 1.0 if lo < x < hi else 0.5 if x in (lo, hi) else 0.0
+            for tm in terms:
+                if w and not tm.anti_causal:
+                    v = w * eval_term(replace(tm, delay=tm.delay
+                                              + sign * (x - x_from)), t)
+                    out[branch][i] += v
+                    scale[i] += abs(v)
+    return out["right"], out["left"], scale
+
+
+_eighths = st.integers(1, 16).map(lambda k: k / 8)
+
+
+@st.composite
+def _chains(draw):
+    n = draw(st.integers(1, 5))
+    gaps = draw(st.lists(_eighths, min_size=n - 1, max_size=n - 1))
+    positions = tuple(float(x) for x in np.cumsum([0.0] + gaps))
+    cfg = ChainConfig(n, draw(st.sampled_from([4.0, 37.5])), 1.0, 0.0,
+                      positions=positions)
+    if draw(st.booleans()):
+        init = InitialCondition.excited(draw(st.integers(0, n - 1)))
+    else:
+        init = InitialCondition.incident(PulseSpec(
+            draw(st.floats(0.2, 5.0)), draw(_eighths),
+            draw(st.sampled_from(["right", "left"]))))
+    # horizons up to 10 L, L the shortest gap (1 for a single qubit)
+    unit = min(gaps, default=1.0)
+    t_f = draw(st.integers(1, 80)) / 8 * unit
+    return cfg, init, t_f
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_chains(), st.data())
+def test_classes_match_tree_walk(case, data):
+    cfg, init, t_f = case
+    qubit = data.draw(st.integers(0, cfg.num_qubits - 1))
+    for target in (FinisherSpec("qubit", qubit), FinisherSpec("field")):
+        classes = diagram_classes(cfg, init, target, t_f)
+        assert _class_counts(classes) == _tree_counts(
+            enumerate_diagrams(cfg, init, target, t_f))
+        keys = {(c.finisher, c.crossings, c.n_t, c.n_r, c.self_decay)
+                for c in classes}
+        assert len(keys) == len(classes)
+
+    ts = np.linspace(0.0, t_f, 97)
+    try:
+        ref = _per_path_amplitude(cfg, init, qubit, t_f)
+    except IllConditioned:
+        with pytest.raises(IllConditioned):
+            excitation_amplitude(cfg, init, qubit, t_f)
+        return
+    got = excitation_amplitude(cfg, init, qubit, t_f)
+    # rounding bound: eps-scaled sum of the per-path term magnitudes
+    scale = sum(np.abs(eval_term(tm, ts)) for tm in ref.terms) + 1.0
+    assert np.all(np.abs(got(ts) - ref(ts)) <= 1e-12 * scale)
+
+    t = data.draw(st.integers(0, 8)) / 8 * t_f
+    lo, hi = cfg.positions[0] - t_f, cfg.positions[-1] + t_f
+    xs = np.concatenate([np.linspace(lo, hi, 61), cfg.positions])
+    try:
+        pr, pl, scale = _per_path_field(cfg, init, t, xs)
+    except IllConditioned:
+        with pytest.raises(IllConditioned):
+            field_profile(cfg, init, t, xs)
+        return
+    _, gr, gl = field_profile(cfg, init, t, xs).arrays()
+    assert np.all(np.abs(gr - pr) <= 1e-12 * (scale + 1.0))
+    assert np.all(np.abs(gl - pl) <= 1e-12 * (scale + 1.0))
+
+
+@pytest.mark.parametrize("n, classes, paths", [(8, 36, 139_653),
+                                               (4, 44, 28_656)])
+def test_class_figures_at_24L(n, classes, paths):
+    cfg = ChainConfig(n, 4.0, 1.0, 1.0)
+    got = diagram_classes(cfg, InitialCondition.excited(0),
+                          FinisherSpec("qubit", n - 1), 24.0)
+    assert len(got) == classes
+    assert sum(c.weight for c in got) == paths
+
+
+def test_float_spacing_shares_one_gap_counter():
+    """Positions m * 0.1 have gaps that differ in the last bits; they still
+    collapse to one crossing count, as the exact spacing 1 does."""
+    counts = []
+    for sep in (1.0, 0.1):
+        cfg = ChainConfig(8, 4.0, 1.0, sep)
+        classes = diagram_classes(cfg, InitialCondition.excited(0),
+                                  FinisherSpec("qubit", 7), 24.0 * sep)
+        assert all(len(c.crossings) == 1 for c in classes)
+        counts.append(len(classes))
+    assert counts == [36, 36]
+
+
+def test_class_cap_counts_classes(monkeypatch):
+    cfg = ChainConfig(4, 4.0, 1.0, 1.0)
+    init = InitialCondition.excited(0)
+    target = FinisherSpec("qubit", 3)
+    monkeypatch.setenv("WQED_DIAGRAM_CAP", "44")
+    assert len(diagram_classes(cfg, init, target, 24.0)) == 44
+    with pytest.raises(HorizonTooLarge):       # the walk counts paths
+        enumerate_diagrams(cfg, init, target, 24.0)
+    monkeypatch.setenv("WQED_DIAGRAM_CAP", "43")
+    with pytest.raises(HorizonTooLarge):
+        diagram_classes(cfg, init, target, 24.0)
+
+
+def test_class_function_is_the_product_of_coefficients():
+    cfg = ChainConfig(3, 4.0, 1.3, 1.0)
+    init = InitialCondition.incident(PulseSpec(0.7, 1.0, "left"))
+    ref = start_pulse(cfg, init.pulse).f
+    for _ in range(3):
+        ref = mul(ref, coeff_t(cfg.j0))
+    for _ in range(2):
+        ref = mul(ref, coeff_r(cfg.j0))
+    got = class_function(cfg, init, 3, 2)
+    assert got.poles == ref.poles
+    np.testing.assert_allclose(got.numer, ref.numer, rtol=1e-15, atol=0)

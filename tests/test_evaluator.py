@@ -7,6 +7,7 @@ from wqed.core import ChainConfig, InitialCondition, PulseSpec
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
 from wqed import fermi
+from wqed.errors import HorizonTooLarge
 
 J0 = 1.0
 OMEGA = 3.7
@@ -29,6 +30,19 @@ def test_excitation_matches_two_qubit_series(cfg, excited):
     e0 = excitation_amplitude(cfg, excited, 0, 12 * L)(ts)
     np.testing.assert_allclose(e1, fermi.fermi_e1(ts, J0, OMEGA, L), atol=1e-12)
     np.testing.assert_allclose(e0, fermi.fermi_em1(ts, J0, OMEGA, L), atol=1e-12)
+
+
+def test_pole_order_past_171_is_a_typed_error():
+    """At 170 L every residue coefficient 1/(k-1)! is a float64 and the
+    amplitude matches the (log-space) series; at 175 L it would not be."""
+    cfg = ChainConfig.fermi_pair(1.0, 10.0, 1.0)
+    init = InitialCondition.excited(0)
+    ts = np.linspace(0.0, 170.0, 1701, endpoint=False)[1:]
+    amp = excitation_amplitude(cfg, init, 1, 170.0)
+    np.testing.assert_allclose(amp(ts), fermi.fermi_e1(ts, 1.0, 10.0, 1.0),
+                               rtol=0, atol=1e-13)
+    with pytest.raises(HorizonTooLarge):
+        excitation_amplitude(cfg, init, 1, 175.0)
 
 
 def test_single_qubit_decay():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from wqed import fermi
+from wqed.core import ChainConfig, InitialCondition
+from wqed.evaluator import excitation_amplitude
 
 
 def test_e1_zero_inside_light_cone():
@@ -42,6 +44,34 @@ def test_deep_markovian_no_overflow():
     # hundreds of active round trips must not overflow the factorials
     val = fermi.fermi_e1(2.5, 1.0, np.pi / 2e-3, 1e-3)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+def test_long_times_stay_finite_and_match_engine():
+    """Up to 160 L the series terms, including the not yet switched-on ones
+    at large negative tau, must neither overflow nor leave the engine."""
+    j0, om, L = 1.0, 10.0, 1.0
+    cfg = ChainConfig.fermi_pair(j0, om, L)
+    ts = np.linspace(0.0, 160.0, 1601, endpoint=False)[1:]
+    for qubit, series in ((1, fermi.fermi_e1), (0, fermi.fermi_em1)):
+        ref = series(ts, j0, om, L)
+        assert np.all(np.isfinite(ref))
+        amp = excitation_amplitude(cfg, InitialCondition.excited(0), qubit, 160.0)
+        np.testing.assert_allclose(amp(ts), ref, rtol=0, atol=1e-10)
+
+
+def test_full_state_finite_past_170L():
+    xs = np.linspace(-1.0, 1.0, 9)
+    st = fermi.fermi_full_state(175.0, xs, 1.0, 10.0, 1.0)
+    for key, val in st.items():
+        assert np.all(np.isfinite(val)), key
+
+
+def test_terms_not_yet_switched_on_stay_finite_past_709():
+    """exp(-J0*tau) of a term with tau < 0 overflows once J0|tau| > 709;
+    it must not turn the term's zero into NaN."""
+    ts = np.linspace(0.0, 720.0, 50)
+    for series in (fermi.fermi_e1, fermi.fermi_em1):
+        assert np.all(np.isfinite(series(ts, 1.0, 10.0, 1.0)))
 
 
 def test_collective_rates():
