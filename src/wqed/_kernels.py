@@ -37,8 +37,14 @@ def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
     out = np.zeros(t.shape[0], dtype=complex)
     for i in range(packed.delays.shape[0]):
         tau = t - packed.delays[i]
-        x = -tau if packed.anti[i] else tau
-        theta = np.where(x > 0, 1.0, np.where(x == 0, 0.5, 0.0))
+        # Theta = 0, 1/2, 1; off the support tau is clamped to 0, so that
+        # exp(kappa |tau|) cannot overflow into Theta * inf = NaN there
+        if packed.anti[i]:
+            theta = 0.5 * (1.0 - np.sign(tau))
+            tau = np.minimum(tau, 0.0)
+        else:
+            theta = 0.5 * (1.0 + np.sign(tau))
+            tau = np.maximum(tau, 0.0)
         poly = np.zeros_like(tau, dtype=complex)
         for c in packed.coeffs[i, ::-1]:
             poly = poly * tau + c

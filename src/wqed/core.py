@@ -146,11 +146,14 @@ def eval_term(term: DelayedTerm, t):
     """Evaluate one delayed term at time(s) t (scalar or array)."""
     t = np.asarray(t, dtype=float)
     tau = t - term.delay
+    theta = _theta(tau, term.anti_causal)
+    # 0 off the support, without evaluating an overflowing exponential there
+    tau = np.minimum(tau, 0.0) if term.anti_causal else np.maximum(tau, 0.0)
     poly = np.zeros_like(tau, dtype=complex)
     for c in reversed(term.poly_coeffs):
         poly = poly * tau + c
     rate = -1j * (term.pole + term.carrier)
-    val = _theta(tau, term.anti_causal) * poly * np.exp(rate * tau)
+    val = theta * poly * np.exp(rate * tau)
     return val if val.ndim else complex(val)
 
 

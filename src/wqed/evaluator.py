@@ -9,21 +9,25 @@ profiles are piecewise: every field finisher owns the waveguide segment
 adjacent to its emitting qubit (window functions with half weight at the
 segment edges), and for pulse runs the undisturbed incident pulse occupies
 the incidence-side exterior segment (its continuation past a qubit is
-already contained in the transmission coefficient). Norms are integrated in
-closed form, segment by segment, since every integrand is a finite sum of
-polynomial-times-exponential products with compact or exponentially bounded
-support.
+already contained in the transmission coefficient). Each segment's terms
+form one series in the coordinate along the direction of travel, evaluated
+on a whole array of positions by `core.eval_series`. The field norm is
+Gauss quadrature of that same evaluation: Gauss-Legendre between the
+fronts and window edges, Gauss-Laguerre on the incident pulse's tail, with
+a node rule whose truncation error is bounded below rounding (see
+`_branch_norm`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition,
-                   TimeSeriesAmplitude, eval_term)
+                   TimeSeriesAmplitude)
 from .diagrams import (Diagram, FinisherSpec, class_function,
                        diagram_classes, field_segment, field_terms,
                        finish_excitation, start_pulse)
@@ -33,20 +37,22 @@ from .diagrams import enumerate_diagrams  # noqa: F401
 from .momentum import inverse_transform
 
 _MERGE_TOL = 1e-9
+_PROBE_POINTS = 2001      # causality_probe's grid over the light-cone time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldProfile:
-    """Snapshot of the right/left-moving field components at one time."""
+    """Snapshot of the right/left-moving field components at one time.
+
+    Holds arrays, so it compares and hashes by identity."""
 
     t: float
-    samples: tuple[tuple[float, complex, complex], ...]
+    xs: np.ndarray
+    psi_right: np.ndarray
+    psi_left: np.ndarray
 
     def arrays(self):
-        xs = np.array([s[0] for s in self.samples])
-        pr = np.array([s[1] for s in self.samples])
-        pl = np.array([s[2] for s in self.samples])
-        return xs, pr, pl
+        return self.xs, self.psi_right, self.psi_left
 
 
 def merge_terms(terms) -> tuple[DelayedTerm, ...]:
@@ -105,59 +111,26 @@ def _class_terms(cfg: ChainConfig, init: InitialCondition, classes, finish):
 
 
 # ---------------------------------------------------------------------------
-# Field profiles
+# Field: one series per segment, in the coordinate along the travel direction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SpatialTerm:
-    """One field term at fixed t, as a function of x on a window.
+def _segments(cfg: ChainConfig, init: InitialCondition,
+              t: float) -> dict[str, list]:
+    """Field terms at time t grouped by segment: {branch: [(lo, hi, series)]}.
 
-    value(x) = Theta-of-support * P(tau) * exp(-i*(pole+carrier)*tau) with
-    tau = front - x for right-movers (support x <= front) and
-    tau = x - front for left-movers (support x >= front).
+    Everything is in s = -x for right-movers and s = x for left-movers. A
+    term whose front sits at x = x_from +- (t - delay) is then a causal
+    DelayedTerm of s with delay s(front), so `series(s)` is the segment's
+    field, and [lo, hi] is its window in s.
     """
-
-    branch: str
-    window_lo: float
-    window_hi: float
-    front: float
-    poly: tuple[complex, ...]
-    rate: complex              # pole + carrier
-
-    def tau(self, x: float) -> float:
-        return self.front - x if self.branch == "right" else x - self.front
-
-    def value(self, x: float) -> complex:
-        tau = self.tau(x)
-        if tau < 0:
-            return 0j
-        w = 0.5 if tau == 0 else 1.0
-        p = 0j
-        for c in reversed(self.poly):
-            p = p * tau + c
-        return w * p * np.exp(-1j * self.rate * tau)
-
-    def weight(self, x: float) -> float:
-        if self.window_lo < x < self.window_hi:
-            return 1.0
-        if x == self.window_lo or x == self.window_hi:
-            return 0.5
-        return 0.0
-
-
-def _spatial_terms(cfg: ChainConfig, init: InitialCondition,
-                   t: float) -> list[_SpatialTerm]:
     t_f = t * (1 + 1e-12) + 1e-12
-    out: list[_SpatialTerm] = []
+    groups: dict[tuple, list[DelayedTerm]] = {}
 
     def add(terms, branch, x_from, lo, hi):
-        for tm in terms:
-            if tm.anti_causal:
-                continue
-            front = (x_from + (t - tm.delay) if branch == "right"
-                     else x_from - (t - tm.delay))
-            out.append(_SpatialTerm(branch, lo, hi, front, tm.poly_coeffs,
-                                    tm.pole + tm.carrier))
+        sign = -1.0 if branch == "right" else 1.0       # s = sign * x
+        key = (branch, min(sign * lo, sign * hi), max(sign * lo, sign * hi))
+        groups.setdefault(key, []).extend(
+            replace(tm, delay=sign * x_from - (t - tm.delay)) for tm in terms)
 
     classes = diagram_classes(cfg, init, FinisherSpec("field"), t_f)
     for c, terms in _class_terms(cfg, init, classes,
@@ -175,157 +148,127 @@ def _spatial_terms(cfg: ChainConfig, init: InitialCondition,
         else:
             entry_x = cfg.positions[-1]
             add(terms, "left", entry_x, entry_x, math.inf)
+
+    out: dict[str, list] = {"right": [], "left": []}
+    for (branch, lo, hi), terms in groups.items():
+        out[branch].append((lo, hi, TimeSeriesAmplitude(tuple(terms))))
+    return out
+
+
+def _branch_field(segments, s: np.ndarray) -> np.ndarray:
+    """One branch's field at the coordinates s; window edges weigh 1/2."""
+    out = np.zeros(s.shape, dtype=complex)
+    for lo, hi, series in segments:
+        inside = (s >= lo) & (s <= hi)
+        if inside.any():
+            si = s[inside]
+            edge = np.where((si == lo) | (si == hi), 0.5, 1.0)
+            out[inside] += edge * series(si)
     return out
 
 
 def field_profile(cfg: ChainConfig, init: InitialCondition, t: float,
                   xs) -> FieldProfile:
     """Right/left-moving field components at time t on the given positions."""
-    terms = _spatial_terms(cfg, init, t)
-    samples = []
-    for x in xs:
-        x = float(x)
-        pr = 0j
-        pl = 0j
-        for st in terms:
-            w = st.weight(x)
-            if w == 0.0:
-                continue
-            v = w * st.value(x)
-            if st.branch == "right":
-                pr += v
-            else:
-                pl += v
-        samples.append((x, pr, pl))
-    return FieldProfile(t, tuple(samples))
+    xs = np.array(xs, dtype=float)
+    segments = _segments(cfg, init, t)
+    return FieldProfile(t, xs, _branch_field(segments["right"], -xs),
+                        _branch_field(segments["left"], xs))
 
 
 # ---------------------------------------------------------------------------
-# Norm: closed-form piecewise integration
+# Norm: Gauss quadrature of the same field
 # ---------------------------------------------------------------------------
 
-def _exp_moments(s: complex, w: float, mmax: int) -> np.ndarray:
-    """E_m = Int_0^w u^m exp(s u) du for m = 0..mmax, stable small-|s w|."""
-    out = np.zeros(mmax + 1, dtype=complex)
-    if w == 0:
-        return out
-    if abs(s * w) < 1e-4:
-        # Taylor: E_m = w^(m+1) sum_k (s w)^k / (k! (m+k+1))
-        for m in range(mmax + 1):
-            acc = 0j
-            fact = 1.0
-            for k in range(12):
-                acc += (s * w) ** k / (fact * (m + k + 1))
-                fact *= k + 1
-            out[m] = w ** (m + 1) * acc
-        return out
-    e = np.exp(s * w)
-    out[0] = (e - 1.0) / s
-    for m in range(1, mmax + 1):
-        out[m] = (w ** m * e - m * out[m - 1]) / s
-    return out
+def _legendre_pair(n: int, x: np.ndarray):
+    """(P_{n-1}(x), P_n(x)) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p0, p1
 
 
-def _integral_poly_exp(coeffs: np.ndarray, s: complex, a: float,
-                       b: float) -> complex:
-    """Int_a^b P(x) exp(s x) dx with P given by ascending coeffs."""
-    n = len(coeffs)
-    shifted = np.zeros(n, dtype=complex)   # P(a + u) in powers of u
-    for i, c in enumerate(coeffs):
-        for k in range(i + 1):
-            shifted[k] += c * math.comb(i, k) * a ** (i - k)
-    mom = _exp_moments(s, b - a, n - 1)
-    return np.exp(s * a) * np.dot(shifted, mom)
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
 
-
-def _integral_poly_exp_tail(coeffs: np.ndarray, s: complex, edge: float,
-                            side: str) -> complex:
-    """Semi-infinite Int P(x) exp(s x) dx over (-inf, edge] or [edge, inf).
-
-    Converges iff the exponential decays toward the open end; the caller
-    guarantees that (radiated/incident fields decay away from their fronts).
+    Newton's method on P_n from the asymptotic guesses cos(pi (k - 1/4) /
+    (n + 1/2)), then w = 2 / ((1 - x^2) P_n'(x)^2). Against 40-digit
+    roots for n = 9..60 the nodes are within 1.1e-16 and the weights
+    within 4.7e-14 relative (numpy.polynomial.legendre.leggauss: 1.8e-12,
+    and its LAPACK eigensolver adds about 1 MB of resident memory).
     """
-    n = len(coeffs)
-    shifted = np.zeros(n, dtype=complex)   # P(edge -/+ u) in powers of u
-    sgn = -1.0 if side == "left" else 1.0
-    for i, c in enumerate(coeffs):
-        for k in range(i + 1):
-            shifted[k] += c * math.comb(i, k) * edge ** (i - k) * sgn ** k
-    rate = -sgn * s          # exp(s*(edge + sgn*u)) = exp(s*edge)*exp(-rate*u)
-    if rate.real <= 0:
-        raise ValueError("tail integral does not converge")
-    acc = 0j
-    fact = 1.0
-    for m in range(n):
-        acc += shifted[m] * fact / rate ** (m + 1)
-        fact *= m + 1
-    return np.exp(s * edge) * acc
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = _legendre_pair(n, x)
+        step = p1 * (x * x - 1) / (n * (x * p1 - p0))
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    p0, p1 = _legendre_pair(n, x)
+    dp = n * (x * p1 - p0) / (x * x - 1)
+    return x, 2 / ((1 - x * x) * dp * dp)
 
 
-def _as_poly_exp(st: _SpatialTerm) -> tuple[np.ndarray, complex]:
-    """Rewrite the term as P(x) exp(c x) ignoring the Theta support."""
-    n = len(st.poly)
-    px = np.zeros(n, dtype=complex)
-    for m, c in enumerate(st.poly):
-        # (front - x)^m or (x - front)^m expanded in x
-        for k in range(m + 1):
-            if st.branch == "right":
-                px[k] += c * math.comb(m, k) * st.front ** (m - k) * (-1) ** k
-            else:
-                px[k] += c * math.comb(m, k) * (-st.front) ** (m - k)
-    lam = -1j * st.rate
-    if st.branch == "right":
-        # exp(lam * (front - x)) = exp(lam*front) * exp(-lam x)
-        px *= np.exp(lam * st.front)
-        cx = -lam
-    else:
-        px *= np.exp(-lam * st.front)
-        cx = lam
-    return px, cx
+def _branch_norm(segments) -> float:
+    """Int |psi(s)|^2 ds for one branch, by quadrature of `_branch_field`.
 
+    Between consecutive cuts (fronts and window edges) the field is smooth:
+    a sum of terms psi_i = P_i(s - a_i) exp(-i(p_i + W)(s - a_i)) with
+    deg P_i <= d and |p_i| <= kappa (the carrier W cancels in |psi|^2).
+    Each elementary interval is split into pieces of length h <= 1/kappa,
+    and each piece gets the N = d + 9 point Gauss-Legendre rule. A pair
+    product psi_i conj(psi_j) is a polynomial of degree <= 2d times
+    exp(-mu (s - c)) about the piece midpoint c, |mu| <= 2 kappa, so
+    |mu (s - c)| <= 1; the rule, exact to degree 2N - 1 = 2d + 17,
+    integrates the polynomial times the degree-17 Taylor part of that
+    exponential exactly, and the rest is at most e/18! of it. The
+    truncation error of a piece is therefore at most
 
-def _branch_norm(terms: list[_SpatialTerm]) -> float:
+        2 e^2/18! * h * max_piece (sum_i |psi_i|)^2
+            < 2.4e-15 * h * max_piece (sum_i |psi_i|)^2,
+
+    below rounding.
+
+    Only the undisturbed incident pulse reaches past the last cut c: it is
+    one term with a constant polynomial and the pole -i sigma, so there
+    |psi(c + u)|^2 = |psi(c)|^2 exp(-mu u), mu = 2 sigma, which the
+    one-point Gauss-Laguerre rule scaled by mu (node u = 1/mu, weight
+    e/mu) integrates exactly.
+    """
+    terms = [tm for _, _, series in segments for tm in series.terms]
     if not terms:
         return 0.0
-    cuts = set()
-    for st in terms:
-        cuts.add(st.front)
-        if math.isfinite(st.window_lo):
-            cuts.add(st.window_lo)
-        if math.isfinite(st.window_hi):
-            cuts.add(st.window_hi)
-    # Fronts bound every support on the open side of exterior segments, so
-    # the sorted cut list always yields finite elementary intervals.
-    pts = sorted(cuts)
-    total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        mid = 0.5 * (a + b)
-        active = []
-        for st in terms:
-            if st.window_lo < mid < st.window_hi and st.tau(mid) > 0:
-                active.append(_as_poly_exp(st))
-        if not active:
-            continue
-        for pi, ci in active:
-            for pj, cj in active:
-                prod = np.convolve(pi, np.conj(pj))
-                total += (_integral_poly_exp(prod, ci + np.conj(cj), a, b)).real
+    cuts = sorted({tm.delay for tm in terms}
+                  | {e for lo, hi, _ in segments for e in (lo, hi)
+                     if math.isfinite(e)})
+    kappa = max(abs(tm.pole) for tm in terms)
+    x, w = _gauss_legendre(max(len(tm.poly_coeffs) for tm in terms) + 8)
+    length = np.diff(cuts)
+    pieces = np.maximum(np.ceil(length * kappa), 1).astype(int)
+    h = np.repeat(length / pieces, pieces)
+    # piece k of an interval starts at its left cut + k h
+    k = np.arange(len(h)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    start = np.repeat(cuts[:-1], pieces) + k * h
+    s = (start[:, None] + h[:, None] * (x + 1) / 2).ravel()
+    weight = (h[:, None] / 2 * w).ravel()
+    # a plain sum, not np.dot: BLAS's first call adds 0.15 MB of resident
+    # memory, and nothing else on the norm path uses it
+    total = float((weight * np.abs(_branch_field(segments, s)) ** 2).sum())
 
-    # semi-infinite tails (incident pulse behind the chain)
-    for edge, side in ((pts[0], "left"), (pts[-1], "right")):
-        probe = edge - 1.0 if side == "left" else edge + 1.0
-        active = [_as_poly_exp(st) for st in terms
-                  if st.window_lo < probe < st.window_hi and st.tau(probe) > 0]
-        for pi, ci in active:
-            for pj, cj in active:
-                prod = np.convolve(pi, np.conj(pj))
-                total += (_integral_poly_exp_tail(
-                    prod, ci + np.conj(cj), edge, side)).real
+    tail = [tm for _, hi, series in segments if hi == math.inf
+            for tm in series.terms]
+    if tail:
+        (pulse,) = tail
+        assert len(pulse.poly_coeffs) == 1
+        mu = -2 * pulse.pole.imag
+        psi = _branch_field(segments, np.array([cuts[-1] + 1 / mu]))
+        total += math.e * float(np.abs(psi[0]) ** 2) / mu
     return total
 
 
 def total_norm(cfg: ChainConfig, init: InitialCondition, t: float) -> float:
-    """Sum of qubit populations and field norm at time t (closed form)."""
+    """Sum of qubit populations and field norm at time t."""
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0:
@@ -335,14 +278,13 @@ def total_norm(cfg: ChainConfig, init: InitialCondition, t: float) -> float:
     for q in range(cfg.num_qubits):
         amp = excitation_amplitude(cfg, init, q, t_f)
         qubit_part += abs(amp(t)) ** 2
-    terms = _spatial_terms(cfg, init, t)
-    right = [st for st in terms if st.branch == "right"]
-    left = [st for st in terms if st.branch == "left"]
-    return float(qubit_part + _branch_norm(right) + _branch_norm(left))
+    segments = _segments(cfg, init, t)
+    return float(qubit_part + _branch_norm(segments["right"])
+                 + _branch_norm(segments["left"]))
 
 
 def causality_probe(cfg: ChainConfig, init: InitialCondition,
-                    qubit: int, npts: int = 2001) -> float:
+                    qubit: int) -> float:
     """Max |e_qubit(t)| on a fine grid strictly inside the light cone.
 
     The engine result is exactly zero by term support; the probe exists so
@@ -357,5 +299,5 @@ def causality_probe(cfg: ChainConfig, init: InitialCondition,
     if d <= 0:
         raise ValueError("probe qubit coincides with the excitation source")
     amp = excitation_amplitude(cfg, init, qubit, d * (1 + 1e-12))
-    ts = np.linspace(0.0, d, npts)[1:-1]
+    ts = np.linspace(0.0, d, _PROBE_POINTS)[1:-1]
     return float(np.max(np.abs(amp(ts)))) if len(ts) else 0.0

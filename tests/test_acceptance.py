@@ -216,12 +216,13 @@ def test_criterion_7_unitarity():
         (ChainConfig.fermi_pair(j0, om, 0.5),
          InitialCondition.incident(PulseSpec(1.0, 1.2, "right")), 5.0),
         (ChainConfig(3, om, j0, 0.8), InitialCondition.excited(1), 5.0),
+        (ChainConfig.fermi_pair(j0, om, 2.0), InitialCondition.excited(0), 20.0),
     ]
     worst = 0.0
     for cfg, init, t_f in configs:
         for t in np.linspace(t_f / 50, t_f, 50):
             worst = max(worst, abs(evaluator.total_norm(cfg, init, float(t)) - 1.0))
-    _report(7, worst < 1e-6, f"worst={worst:.2e}")
+    _report(7, worst < 1e-12, f"worst={worst:.2e}")
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,18 @@ def test_simulate_pulse_config(tmp_path):
     assert np.all(data[data[:, 0] < 1.0, 3] == 0.0)
 
 
+def test_simulate_field_far_ahead_of_pulse_is_finite(tmp_path):
+    # the field grid sits 90-95 units ahead of a sigma = 10 pulse front
+    conf = _write_config(tmp_path, horizon=5.0, initial={
+        "kind": "pulse", "sigma": 10.0, "x0": 100.0, "direction": "right"})
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", conf, "--out", str(out),
+                     "--observables", "e:0,field"]) == 0
+    data = np.loadtxt(str(tmp_path / "out.field.csv"), delimiter=",",
+                      skiprows=1)
+    assert np.all(np.isfinite(data))
+
+
 @pytest.mark.parametrize("mutation", [
     {"chain": {"n": 2, "omega": 3.7, "j0": 1.0, "separation": 0.5,
                "bogus": 1}},
@@ -196,6 +208,17 @@ def test_check_norm_passes(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert report["max_norm_deviation"] < 1e-6
+
+
+def test_check_norm_long_horizon(tmp_path, capsys):
+    """20 scattering events on a two-qubit chain: the field norm keeps full
+    precision on long series."""
+    conf = _write_config(tmp_path, chain={"n": 2, "omega": 10, "j0": 1,
+                                          "separation": 1}, horizon=20)
+    rc = cli.main(["check", "--what", "norm", conf])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["max_norm_deviation"] < 1e-12
 
 
 def test_fermi_demo_outputs(tmp_path):

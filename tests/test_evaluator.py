@@ -76,10 +76,9 @@ def test_field_light_cone(cfg, excited):
     t = 1.3
     # right-moving emission from x=-L/2 cannot be past -L/2 + t
     xs = [-L / 2 + t + 0.05, -L / 2 + t + 2.0]
-    prof = field_profile(cfg, excited, t, xs)
-    for _, pr, pl in prof.samples:
-        assert pr == 0.0
-        assert pl == 0.0
+    _, pr, pl = field_profile(cfg, excited, t, xs).arrays()
+    assert np.all(pr == 0.0)
+    assert np.all(pl == 0.0)
 
 
 def test_field_matches_exact_components(cfg, excited):
@@ -130,20 +129,20 @@ def test_total_field_continuous_at_qubits(cfg, excited):
 
 def test_unitarity_excited(cfg, excited):
     for t in (0.3, 1.1, 2.7 * L, 6.4):
-        assert total_norm(cfg, excited, t) == pytest.approx(1.0, abs=1e-9)
+        assert total_norm(cfg, excited, t) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unitarity_pulse(cfg):
     init = InitialCondition.incident(PulseSpec(0.7, 1.2, "right"))
     for t in (0.4, 2.2, 5.9):
-        assert total_norm(cfg, init, t) == pytest.approx(1.0, abs=1e-9)
+        assert total_norm(cfg, init, t) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unitarity_pulse_left_three_qubits():
     cfg3 = ChainConfig(3, OMEGA, J0, 0.8)
     init = InitialCondition.incident(PulseSpec(2.0, 1.0, "left"))
     for t in (0.6, 2.3, 4.8):
-        assert total_norm(cfg3, init, t) == pytest.approx(1.0, abs=1e-9)
+        assert total_norm(cfg3, init, t) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_decays_into_field(cfg, excited):
@@ -153,14 +152,49 @@ def test_norm_decays_into_field(cfg, excited):
     e0 = abs(excitation_amplitude(cfg, excited, 0, t + 1)(t)) ** 2
     e1 = abs(excitation_amplitude(cfg, excited, 1, t + 1)(t)) ** 2
     assert e0 + e1 < 0.05
-    # long series: closed-form integration accumulates a little roundoff
-    assert total_norm(cfg, excited, t) == pytest.approx(1.0, abs=1e-6)
+    assert total_norm(cfg, excited, t) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_single_qubit_field_norm_is_exact():
+    """A lone excited qubit radiates the norm 1 - exp(-2 J0 t) it loses;
+    at J0 t = 40 each branch is one interval of 40 decay lengths."""
+    cfg1 = ChainConfig(1, 10.0, J0, 0.0)
+    for t in np.linspace(0.5, 40.0 / J0, 80):
+        field = (total_norm(cfg1, InitialCondition.excited(0), t)
+                 - math.exp(-2 * J0 * t))
+        assert field == pytest.approx(-math.expm1(-2 * J0 * t), abs=1e-13)
+
+
+@pytest.mark.parametrize("direction", ["right", "left"])
+def test_single_qubit_sharp_pulse_norm(direction):
+    """sigma = 5 J0: the intensity decays over 1/10 of a length unit, so
+    the quadrature has to resolve it on intervals up to 9 units long."""
+    cfg1 = ChainConfig(1, 10.0, J0, 0.0)
+    init = InitialCondition.incident(PulseSpec(5.0, 1.0, direction))
+    for t in np.linspace(0.0, 10.0, 41):
+        assert total_norm(cfg1, init, t) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_field_far_ahead_of_front_is_exactly_zero():
+    """Off a term's support exp(kappa |tau|) would overflow past
+    kappa |tau| = 709; the field there must still be exactly 0."""
+    cfg1 = ChainConfig(1, 10.0, 10.0, 0.0)
+    prof = field_profile(cfg1, InitialCondition.excited(0), 1.0,
+                         [-100.0, 100.0])
+    assert np.all(prof.psi_right == 0) and np.all(prof.psi_left == 0)
+    # incident segment up to 94 units ahead of the pulse front at x = -95
+    cfg2 = ChainConfig.fermi_pair(J0, OMEGA, L)
+    init = InitialCondition.incident(PulseSpec(10.0, 100.0, "right"))
+    xs = np.linspace(-94.0, -1.0, 94)
+    prof = field_profile(cfg2, init, 5.0, xs)
+    assert np.all(prof.psi_right == 0) and np.all(prof.psi_left == 0)
+    assert total_norm(cfg2, init, 5.0) == pytest.approx(1.0, abs=1e-13)
 
 
 def _advection_residual(cfg, init, x, t, h):
     """(d_t + d_x) psi_R by second-order central differences."""
     def pr(xx, tt):
-        return field_profile(cfg, init, tt, [xx]).samples[0][1]
+        return field_profile(cfg, init, tt, [xx]).psi_right[0]
     dt = (pr(x, t + h) - pr(x, t - h)) / (2 * h)
     dx = (pr(x + h, t) - pr(x - h, t)) / (2 * h)
     return abs(dt + dx)

@@ -28,6 +28,17 @@ def test_grid_eval_matches_term_sum():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize("anti", [False, True])
+def test_far_off_support_is_exactly_zero(anti):
+    # kappa |tau| = 1000 off the support: exp would overflow to inf there
+    tm = DelayedTerm(delay=0.0, pole=2 + (10j if anti else -10j),
+                     poly_coeffs=(1.0, 0.5), carrier=1.0, anti_causal=anti)
+    t = np.array([100.0, -100.0]) if anti else np.array([-100.0, 100.0])
+    got = _kernels.eval_terms_grid(_pack_terms([tm]), t)
+    assert got[0] == 0 and got[1] == 0
+    assert np.all(eval_term(tm, t) == 0)
+
+
 
 
 # dde_rk4's scheme as a scalar loop, one step and one qubit at a time (same
