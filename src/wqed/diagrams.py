@@ -13,16 +13,17 @@ the requested horizon is kept, so the resulting series is exact for t < t_f.
 
 A diagram's rational function depends only on its numbers of transmissions
 and reflections, and its delay only on how often it crosses each gap. The
-observables therefore sum over weighted classes (`diagram_classes`, a
+qubit amplitudes therefore sum over weighted classes (`diagram_classes`, a
 dynamic program over those integer counts) rather than over single paths;
-`enumerate_diagrams` walks the binary tree path by path and is kept as the
-reference the classes are tested against.
+the field follows from the amplitudes (see `evaluator`).
+`enumerate_diagrams` walks the binary tree path by path, with qubit or field
+finishers, and is kept as the reference the classes and the field are
+tested against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -31,12 +32,10 @@ from .errors import GeometryError, HorizonTooLarge
 from .momentum import (RationalFn, coeff_e, coeff_r, coeff_t, inverse_transform,
                        mul, pulse_spectrum, simple_pole)
 
-DEFAULT_DIAGRAM_CAP = 10 ** 6
+#: Largest number of diagrams (tree walk) or classes (dynamic program) kept
+#: before HorizonTooLarge is raised.
+DIAGRAM_CAP = 10 ** 6
 _GEOM_TOL = 1e-9
-
-
-def _diagram_cap() -> int:
-    return int(os.environ.get("WQED_DIAGRAM_CAP", DEFAULT_DIAGRAM_CAP))
 
 
 class CellKind(Enum):
@@ -229,9 +228,10 @@ def finish_field(cfg: ChainConfig, d: Diagram, x: float) -> TimeSeriesAmplitude:
     return TimeSeriesAmplitude(shifted, label=f"psi_{fin.branch[0]}:{fin.qubit}")
 
 
-def field_segment(cfg: ChainConfig, d) -> tuple[float, float]:
-    """Spatial window owned by the field finisher of a Diagram or a
-    DiagramClass (Heaviside window bounds)."""
+def field_segment(cfg: ChainConfig, d: Diagram) -> tuple[float, float]:
+    """Spatial window owned by the field finisher of a Diagram (Heaviside
+    window bounds). Reference only: the evaluator derives the field from
+    the qubit amplitudes."""
     fin = d.finisher
     q = fin.qubit
     if fin.branch == "right":
@@ -249,27 +249,24 @@ def _assert_causal(terms) -> None:
 
 
 def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
-                       target: FinisherSpec, t_f: float,
-                       cap: int | None = None) -> list[Diagram]:
+                       target: FinisherSpec, t_f: float) -> list[Diagram]:
     """All diagrams for `target` with total delay strictly below t_f.
 
     Deterministic output order: by total delay, ties broken by the cell
-    sequence. Raises HorizonTooLarge past the diagram cap (default 10^6,
-    overridable via WQED_DIAGRAM_CAP).
+    sequence. Raises HorizonTooLarge past DIAGRAM_CAP diagrams.
     """
     if t_f <= 0:
         raise ValueError("t_f must be positive")
-    if cap is None:
-        cap = _diagram_cap()
     want_qubit = target.kind == "qubit"
     out: list[Diagram] = []
-    budget = [cap]
+    budget = [DIAGRAM_CAP]
 
     def emit(cells, f, delay, self_decay=False):
         out.append(Diagram(tuple(cells), f, delay, self_decay=self_decay))
         budget[0] -= 1
         if budget[0] < 0:
-            raise HorizonTooLarge(f"diagram cap {cap} exceeded before t_f={t_f}")
+            raise HorizonTooLarge(f"diagram cap {DIAGRAM_CAP} exceeded before "
+                                  f"t_f={t_f}")
 
     def walk(cells, f, delay, at, direction):
         if delay >= t_f:
@@ -380,22 +377,21 @@ def _gap_counters(cfg: ChainConfig) -> tuple[tuple[float, ...], tuple[int, ...]]
 
 
 def diagram_classes(cfg: ChainConfig, init: InitialCondition,
-                    target: FinisherSpec, t_f: float) -> list[DiagramClass]:
-    """The diagrams of `enumerate_diagrams`, grouped into weighted classes.
+                    qubits: tuple[int, ...], t_f: float) -> list[DiagramClass]:
+    """The qubit-finisher diagrams of `enumerate_diagrams` for every index in
+    `qubits`, grouped into weighted classes.
 
     A dynamic program over the states (qubit, direction, crossing counts,
     #T, #R), one hop at a time; each state carries the number of paths that
     reach it. Classes are emitted by the same rules as the tree walk, and a
     class's weight is its number of paths. Sorted by delay, then by key.
-    Raises HorizonTooLarge past the cap (default 10^6, overridable via
-    WQED_DIAGRAM_CAP), which counts classes.
+    Raises HorizonTooLarge past DIAGRAM_CAP classes.
     """
     if not 0 < t_f < math.inf:
         raise ValueError("t_f must be positive and finite")
-    cap = _diagram_cap()
     n = cfg.num_qubits
+    finishers = frozenset(qubits)
     gaps, gap_index = _gap_counters(cfg)
-    want_qubit = target.kind == "qubit"
     offset = init.pulse.x0 if init.kind == "pulse" else 0.0
     zero = (0,) * len(gaps)
     delays = {zero: offset}         # crossing counts -> delay
@@ -403,9 +399,9 @@ def diagram_classes(cfg: ChainConfig, init: InitialCondition,
 
     def emit(key, w):
         weights[key] = weights.get(key, 0) + w
-        if len(weights) > cap:
-            raise HorizonTooLarge(f"diagram class cap {cap} exceeded before "
-                                  f"t_f={t_f}")
+        if len(weights) > DIAGRAM_CAP:
+            raise HorizonTooLarge(f"diagram class cap {DIAGRAM_CAP} exceeded "
+                                  f"before t_f={t_f}")
 
     def hop(states, at, direction, crossings, n_t, n_r, w):
         nxt = at + direction
@@ -424,11 +420,9 @@ def diagram_classes(cfg: ChainConfig, init: InitialCondition,
     states: dict[tuple, int] = {}
     if init.kind == "excited_qubit":
         src = init.qubit
-        if want_qubit and target.qubit == src:
-            emit((src, 0, zero, 0, 0, True), 1)
+        if src in finishers:
+            emit((src, zero, 0, 0, True), 1)
         for direction in (1, -1):
-            if not want_qubit:
-                emit((src, direction, zero, 0, 0, False), 1)
             hop(states, src, direction, zero, 0, 0, 1)
     elif offset < t_f:
         direction = 1 if init.pulse.direction == "right" else -1
@@ -438,23 +432,15 @@ def diagram_classes(cfg: ChainConfig, init: InitialCondition,
     while states:
         following: dict[tuple, int] = {}
         for (at, direction, crossings, n_t, n_r), w in states.items():
-            if want_qubit and target.qubit == at:
-                emit((at, 0, crossings, n_t, n_r, False), w)
-            for turn, dt, dr in ((direction, 1, 0), (-direction, 0, 1)):
-                if not want_qubit:
-                    emit((at, turn, crossings, n_t + dt, n_r + dr, False), w)
-                hop(following, at, turn, crossings, n_t + dt, n_r + dr, w)
+            if at in finishers:
+                emit((at, crossings, n_t, n_r, False), w)
+            hop(following, at, direction, crossings, n_t + 1, n_r, w)
+            hop(following, at, -direction, crossings, n_t, n_r + 1, w)
         states = following
 
-    out = []
-    for (at, direction, crossings, n_t, n_r, self_decay), w in weights.items():
-        if want_qubit:
-            fin = UnitCell(CellKind.FINISH_QUBIT, qubit=at)
-        else:
-            fin = UnitCell(CellKind.FINISH_FIELD, qubit=at,
-                           branch="right" if direction == 1 else "left")
-        out.append(DiagramClass(fin, crossings, n_t, n_r, delays[crossings], w,
-                                self_decay))
+    out = [DiagramClass(UnitCell(CellKind.FINISH_QUBIT, qubit=at), crossings,
+                        n_t, n_r, delays[crossings], w, self_decay)
+           for (at, crossings, n_t, n_r, self_decay), w in weights.items()]
     out.sort(key=lambda c: (c.delay, c.crossings, c.finisher.sort_key(),
                             c.n_t, c.n_r))
     return out

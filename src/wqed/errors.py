@@ -18,8 +18,8 @@ class RealAxisPole(WqedError):
 
 
 class HorizonTooLarge(WqedError):
-    """The horizon is out of reach: diagram enumeration would exceed the
-    configured cap, or a pole order would exceed 171, past which the
+    """The horizon is out of reach: diagram enumeration would exceed
+    diagrams.DIAGRAM_CAP, or a pole order would exceed 171, past which the
     residue coefficient's (k-1)! overflows float64."""
 
 

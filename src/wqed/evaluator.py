@@ -1,21 +1,24 @@
 """Assemble observables from weighted diagram classes.
 
+Qubit excitation amplitudes are direct sums of finished diagram classes.
 Within one call the residue step runs once per distinct class function, at
 delay 0; each class then shifts those terms to its delay and scales them by
 its weight (its number of diagrams).
 
-Qubit excitation amplitudes are direct sums of finished diagrams. Field
-profiles are piecewise: every field finisher owns the waveguide segment
-adjacent to its emitting qubit (window functions with half weight at the
-segment edges), and for pulse runs the undisturbed incident pulse occupies
-the incidence-side exterior segment (its continuation past a qubit is
-already contained in the transmission coefficient). Each segment's terms
-form one series in the coordinate along the direction of travel, evaluated
-on a whole array of positions by `core.eval_series`. The field norm is
-Gauss quadrature of that same evaluation: Gauss-Legendre between the
-fronts and window edges, Gauss-Laguerre on the incident pulse's tail, with
-a node rule whose truncation error is bounded below rounding (see
-`_branch_norm`).
+The field is the qubits' emission. By the waveguide input-output relation
+(Fan, Kocabas & Shen, Phys. Rev. A 82, 063821 (2010))
+
+    psi_R(x, t) = psi_in(x, t) - i sqrt(J0) sum_{x_q <= x} e_q(t - (x - x_q)),
+
+mirrored for psi_L, with half weight at x = x_q; psi_in is the undisturbed
+incident pulse (zero for an excited start). Each qubit's emission is its
+amplitude series, evaluated by `core.eval_series` at the retarded times of
+a whole array of positions, so one class pass over all qubits gives the
+amplitudes, the field profile and the norm.
+The field norm is Gauss quadrature of that same evaluation:
+Gauss-Legendre between the fronts and window edges, Gauss-Laguerre on the
+incident pulse's tail, with a node rule whose truncation error is bounded
+below rounding (see `_branch_norm`).
 """
 
 from __future__ import annotations
@@ -28,15 +31,13 @@ import numpy as np
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition,
                    TimeSeriesAmplitude)
-from .diagrams import (Diagram, FinisherSpec, class_function,
-                       diagram_classes, field_segment, field_terms,
+from .diagrams import (Diagram, class_function, diagram_classes,
                        finish_excitation, start_pulse)
-# Unused here: kept only because perfbench/tracing.py wraps this name and
+# Unused here: kept only because perfbench/tracing.py wraps these names and
 # its self-test requires every wrap target to exist.
-from .diagrams import enumerate_diagrams  # noqa: F401
+from .diagrams import enumerate_diagrams, field_terms  # noqa: F401
 from .momentum import inverse_transform
 
-_MERGE_TOL = 1e-9
 _PROBE_POINTS = 2001      # causality_probe's grid over the light-cone time
 
 
@@ -56,22 +57,14 @@ class FieldProfile:
 
 
 def merge_terms(terms) -> tuple[DelayedTerm, ...]:
-    """Combine terms sharing (delay, pole, carrier, causality) by summing
-    their polynomials. Keeps series in one-term-per-front form."""
-    groups: list[list] = []
+    """Combine terms sharing (delay, pole, carrier, causality) exactly by
+    summing their polynomials. Keeps series in one-term-per-front form."""
+    groups: dict[tuple, list] = {}
     for tm in terms:
-        for g in groups:
-            ref = g[0]
-            if (ref.anti_causal == tm.anti_causal
-                    and abs(ref.delay - tm.delay) < _MERGE_TOL
-                    and abs(ref.pole - tm.pole) < _MERGE_TOL
-                    and abs(ref.carrier - tm.carrier) < _MERGE_TOL):
-                g.append(tm)
-                break
-        else:
-            groups.append([tm])
+        key = (tm.delay, tm.pole, tm.carrier, tm.anti_causal)
+        groups.setdefault(key, []).append(tm)
     out = []
-    for g in groups:
+    for g in groups.values():
         npoly = max(len(tm.poly_coeffs) for tm in g)
         coeffs = np.zeros(npoly, dtype=complex)
         for tm in g:
@@ -86,84 +79,82 @@ def merge_terms(terms) -> tuple[DelayedTerm, ...]:
 def excitation_amplitude(cfg: ChainConfig, init: InitialCondition,
                          qubit: int, t_f: float) -> TimeSeriesAmplitude:
     """Closed-form excitation amplitude of `qubit`, exact for t < t_f."""
-    classes = diagram_classes(cfg, init, FinisherSpec("qubit", qubit), t_f)
-    terms: list[DelayedTerm] = []
-    for _, class_terms in _class_terms(
-            cfg, init, classes, lambda d: finish_excitation(cfg, d).terms):
-        terms.extend(class_terms)
-    return TimeSeriesAmplitude(merge_terms(terms), label=f"e:{qubit}")
+    return _amplitudes(cfg, init, (qubit,), t_f)[qubit]
 
 
-def _class_terms(cfg: ChainConfig, init: InitialCondition, classes, finish):
-    """Yield (class, terms): `finish` runs once per distinct class function
-    at delay 0, and each class shifts the result to its delay and scales it
-    by its weight."""
+def _amplitudes(cfg: ChainConfig, init: InitialCondition,
+                qubits: tuple[int, ...],
+                t_f: float) -> dict[int, TimeSeriesAmplitude]:
+    """Excitation amplitudes of `qubits`, exact for t < t_f, from one class
+    pass: the residue step runs once per distinct class function
+    (#T, #R, self-decay) at delay 0, and each class shifts those terms to
+    its delay and scales them by its weight."""
     base: dict[tuple, tuple[DelayedTerm, ...]] = {}
-    for c in classes:
+    terms: dict[int, list[DelayedTerm]] = {q: [] for q in qubits}
+    for c in diagram_classes(cfg, init, qubits, t_f):
         key = (c.n_t, c.n_r, c.self_decay)
         if key not in base:
             f = class_function(cfg, init, c.n_t, c.n_r)
-            base[key] = tuple(finish(Diagram((c.finisher,), f, 0.0,
-                                             c.self_decay)))
-        yield c, [replace(tm, delay=c.delay, poly_coeffs=tuple(
-                      np.asarray(tm.poly_coeffs) * float(c.weight)))
-                  for tm in base[key]]
+            base[key] = finish_excitation(
+                cfg, Diagram((c.finisher,), f, 0.0, c.self_decay)).terms
+        terms[c.finisher.qubit].extend(
+            replace(tm, delay=c.delay, poly_coeffs=tuple(
+                np.asarray(tm.poly_coeffs) * float(c.weight)))
+            for tm in base[key])
+    return {q: TimeSeriesAmplitude(merge_terms(ts), label=f"e:{q}")
+            for q, ts in terms.items()}
 
 
 # ---------------------------------------------------------------------------
-# Field: one series per segment, in the coordinate along the travel direction
+# Field: the qubits' emission, read at the retarded times of the positions
 # ---------------------------------------------------------------------------
 
-def _segments(cfg: ChainConfig, init: InitialCondition,
-              t: float) -> dict[str, list]:
-    """Field terms at time t grouped by segment: {branch: [(lo, hi, series)]}.
+def _all_amplitudes(cfg: ChainConfig, init: InitialCondition,
+                    t: float) -> dict[int, TimeSeriesAmplitude]:
+    """Every qubit's amplitude, exact up to and including time t."""
+    return _amplitudes(cfg, init, tuple(range(cfg.num_qubits)),
+                       t * (1 + 1e-12) + 1e-12)
 
-    Everything is in s = -x for right-movers and s = x for left-movers. A
-    term whose front sits at x = x_from +- (t - delay) is then a causal
-    DelayedTerm of s with delay s(front), so `series(s)` is the segment's
-    field, and [lo, hi] is its window in s.
+
+def _segments(cfg: ChainConfig, init: InitialCondition, t: float,
+              amps: dict[int, TimeSeriesAmplitude]) -> dict[str, list]:
+    """The field at time t by branch: {branch: [(hi, lag, factor, series)]}.
+
+    Everything is in s = -x for right-movers and s = x for left-movers; a
+    branch's field at s is the sum of factor * series(s + lag) over its
+    windows s <= hi, with half weight at s = hi. Qubit q's emission
+    -i sqrt(J0) e_q(t - |x - x_q|) is e_q with lag t -+ x_q on the window
+    s <= -+x_q. An incident pulse is its series at the entry qubit,
+    continued over the whole line (hi = inf). A term of `series` with
+    delay d therefore has its front at s = d - lag.
     """
-    t_f = t * (1 + 1e-12) + 1e-12
-    groups: dict[tuple, list[DelayedTerm]] = {}
-
-    def add(terms, branch, x_from, lo, hi):
-        sign = -1.0 if branch == "right" else 1.0       # s = sign * x
-        key = (branch, min(sign * lo, sign * hi), max(sign * lo, sign * hi))
-        groups.setdefault(key, []).extend(
-            replace(tm, delay=sign * x_from - (t - tm.delay)) for tm in terms)
-
-    classes = diagram_classes(cfg, init, FinisherSpec("field"), t_f)
-    for c, terms in _class_terms(cfg, init, classes,
-                                 lambda d: field_terms(cfg, d)):
-        lo, hi = field_segment(cfg, c)
-        add(terms, c.finisher.branch, cfg.positions[c.finisher.qubit], lo, hi)
+    pref = -1j * math.sqrt(cfg.j0)
+    out: dict[str, list] = {"right": [], "left": []}
+    for branch, sign in (("right", -1.0), ("left", 1.0)):     # s = sign * x
+        for q, amp in amps.items():
+            if amp.terms:
+                s_q = sign * cfg.positions[q]
+                out[branch].append((s_q, t - s_q, pref, amp))
 
     if init.kind == "pulse":
         spec = init.pulse
-        state = start_pulse(cfg, spec)
-        terms = inverse_transform(state.f, spec.x0, cfg.omega)
-        if spec.direction == "right":
-            entry_x = cfg.positions[0]
-            add(terms, "right", entry_x, -math.inf, entry_x)
-        else:
-            entry_x = cfg.positions[-1]
-            add(terms, "left", entry_x, entry_x, math.inf)
-
-    out: dict[str, list] = {"right": [], "left": []}
-    for (branch, lo, hi), terms in groups.items():
-        out[branch].append((lo, hi, TimeSeriesAmplitude(tuple(terms))))
+        sign = -1.0 if spec.direction == "right" else 1.0
+        entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
+        terms = inverse_transform(start_pulse(cfg, spec).f, spec.x0, cfg.omega)
+        out[spec.direction].append((math.inf, t - sign * cfg.positions[entry],
+                                    1.0, TimeSeriesAmplitude(tuple(terms))))
     return out
 
 
 def _branch_field(segments, s: np.ndarray) -> np.ndarray:
     """One branch's field at the coordinates s; window edges weigh 1/2."""
     out = np.zeros(s.shape, dtype=complex)
-    for lo, hi, series in segments:
-        inside = (s >= lo) & (s <= hi)
+    for hi, lag, factor, series in segments:
+        inside = s <= hi
         if inside.any():
             si = s[inside]
-            edge = np.where((si == lo) | (si == hi), 0.5, 1.0)
-            out[inside] += edge * series(si)
+            out[inside] += (factor * np.where(si == hi, 0.5, 1.0)
+                            * series(si + lag))
     return out
 
 
@@ -171,7 +162,7 @@ def field_profile(cfg: ChainConfig, init: InitialCondition, t: float,
                   xs) -> FieldProfile:
     """Right/left-moving field components at time t on the given positions."""
     xs = np.array(xs, dtype=float)
-    segments = _segments(cfg, init, t)
+    segments = _segments(cfg, init, t, _all_amplitudes(cfg, init, t))
     return FieldProfile(t, xs, _branch_field(segments["right"], -xs),
                         _branch_field(segments["left"], xs))
 
@@ -236,12 +227,12 @@ def _branch_norm(segments) -> float:
     one-point Gauss-Laguerre rule scaled by mu (node u = 1/mu, weight
     e/mu) integrates exactly.
     """
-    terms = [tm for _, _, series in segments for tm in series.terms]
+    terms = [tm for _, _, _, series in segments for tm in series.terms]
     if not terms:
         return 0.0
-    cuts = sorted({tm.delay for tm in terms}
-                  | {e for lo, hi, _ in segments for e in (lo, hi)
-                     if math.isfinite(e)})
+    cuts = sorted({tm.delay - lag for _, lag, _, series in segments
+                   for tm in series.terms}
+                  | {hi for hi, _, _, _ in segments if math.isfinite(hi)})
     kappa = max(abs(tm.pole) for tm in terms)
     x, w = _gauss_legendre(max(len(tm.poly_coeffs) for tm in terms) + 8)
     length = np.diff(cuts)
@@ -256,7 +247,7 @@ def _branch_norm(segments) -> float:
     # memory, and nothing else on the norm path uses it
     total = float((weight * np.abs(_branch_field(segments, s)) ** 2).sum())
 
-    tail = [tm for _, hi, series in segments if hi == math.inf
+    tail = [tm for hi, _, _, series in segments if hi == math.inf
             for tm in series.terms]
     if tail:
         (pulse,) = tail
@@ -271,14 +262,14 @@ def total_norm(cfg: ChainConfig, init: InitialCondition, t: float) -> float:
     """Sum of qubit populations and field norm at time t."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    amps = _all_amplitudes(cfg, init, t)
     if t == 0:
-        t = 0.0
-    t_f = t * (1 + 1e-12) + 1e-12
-    qubit_part = 0.0
-    for q in range(cfg.num_qubits):
-        amp = excitation_amplitude(cfg, init, q, t_f)
-        qubit_part += abs(amp(t)) ** 2
-    segments = _segments(cfg, init, t)
+        # the t -> 0+ limit: at t = 0 the excited qubit's own term would
+        # take Theta(0) = 1/2, while the field is still empty
+        qubit_part = float(init.kind == "excited_qubit")
+    else:
+        qubit_part = sum(abs(amp(t)) ** 2 for amp in amps.values())
+    segments = _segments(cfg, init, t, amps)
     return float(qubit_part + _branch_norm(segments["right"])
                  + _branch_norm(segments["left"]))
 

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wqed import cli
+from wqed import cli, diagrams
 
 
 def _write_config(tmp_path, **overrides):
@@ -169,7 +169,7 @@ def test_missing_config_file_exits_2(tmp_path):
 
 
 def test_diagram_cap_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setenv("WQED_DIAGRAM_CAP", "3")
+    monkeypatch.setattr(diagrams, "DIAGRAM_CAP", 3)
     conf = _write_config(tmp_path, horizon=6.0)
     rc = cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),
                    "--observables", "e:1"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wqed import diagrams, oracle
 from wqed.core import (ChainConfig, InitialCondition, PulseSpec,
                        TimeSeriesAmplitude, eval_term)
 from wqed.diagrams import (CellKind, Diagram, FinisherSpec, UnitCell,
@@ -150,9 +151,7 @@ def test_horizon_strictness():
 def test_cap_raises(monkeypatch):
     cfg = fermi_cfg(L=1.0)
     init = InitialCondition.excited(0)
-    with pytest.raises(HorizonTooLarge):
-        enumerate_diagrams(cfg, init, FinisherSpec("qubit", 1), 50.0, cap=3)
-    monkeypatch.setenv("WQED_DIAGRAM_CAP", "3")
+    monkeypatch.setattr(diagrams, "DIAGRAM_CAP", 3)
     with pytest.raises(HorizonTooLarge):
         enumerate_diagrams(cfg, init, FinisherSpec("qubit", 1), 50.0)
 
@@ -302,18 +301,44 @@ def _chains(draw):
     return cfg, init, t_f
 
 
+def _oracle_field_error(cfg, init, t, xs, pr, pl):
+    """Largest difference from the oracle's field reconstruction at
+    dt = 1/2048, which divides every delay of `_chains`. Samples on a jump
+    front are left out: the engine takes Theta(0) = 1/2 there and the
+    oracle does not."""
+    if init.kind == "excited_qubit":
+        x = cfg.positions[init.qubit]
+        fronts = [x - t, x + t]
+    else:
+        p = init.pulse
+        sign = 1.0 if p.direction == "right" else -1.0
+        entry = cfg.positions[0 if p.direction == "right" else -1]
+        fronts = [entry - sign * p.x0 + sign * t]
+    hist = oracle.integrate_chain(cfg, init, t, 1 / 2048)
+    err = 0.0
+    for x, r, l in zip(xs, pr, pl):
+        if all(abs(x - f) > 1e-9 for f in fronts):
+            ref_r, ref_l = oracle.reconstruct_field(hist, cfg, float(x), t,
+                                                    init)
+            err = max(err, abs(r - ref_r), abs(l - ref_l))
+    return err
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_chains(), st.data())
 def test_classes_match_tree_walk(case, data):
     cfg, init, t_f = case
-    qubit = data.draw(st.integers(0, cfg.num_qubits - 1))
-    for target in (FinisherSpec("qubit", qubit), FinisherSpec("field")):
-        classes = diagram_classes(cfg, init, target, t_f)
-        assert _class_counts(classes) == _tree_counts(
-            enumerate_diagrams(cfg, init, target, t_f))
-        keys = {(c.finisher, c.crossings, c.n_t, c.n_r, c.self_decay)
-                for c in classes}
-        assert len(keys) == len(classes)
+    n = cfg.num_qubits
+    qubit = data.draw(st.integers(0, n - 1))
+    walks = [_tree_counts(enumerate_diagrams(
+        cfg, init, FinisherSpec("qubit", q), t_f)) for q in range(n)]
+    assert _class_counts(diagram_classes(cfg, init, (qubit,), t_f)) \
+        == walks[qubit]
+    classes = diagram_classes(cfg, init, tuple(range(n)), t_f)
+    assert _class_counts(classes) == sum(walks, Counter())
+    keys = {(c.finisher, c.crossings, c.n_t, c.n_r, c.self_decay)
+            for c in classes}
+    assert len(keys) == len(classes)
 
     ts = np.linspace(0.0, t_f, 97)
     try:
@@ -333,8 +358,13 @@ def test_classes_match_tree_walk(case, data):
     try:
         pr, pl, scale = _per_path_field(cfg, init, t, xs)
     except IllConditioned:
-        with pytest.raises(IllConditioned):
-            field_profile(cfg, init, t, xs)
+        # the field finisher's residue step can refuse where the qubit
+        # amplitudes, and so the field, are fine
+        try:
+            _, gr, gl = field_profile(cfg, init, t, xs).arrays()
+        except IllConditioned:
+            return
+        assert _oracle_field_error(cfg, init, t, xs, gr, gl) < 1e-8
         return
     _, gr, gl = field_profile(cfg, init, t, xs).arrays()
     assert np.all(np.abs(gr - pr) <= 1e-12 * (scale + 1.0))
@@ -345,8 +375,7 @@ def test_classes_match_tree_walk(case, data):
                                                (4, 44, 28_656)])
 def test_class_figures_at_24L(n, classes, paths):
     cfg = ChainConfig(n, 4.0, 1.0, 1.0)
-    got = diagram_classes(cfg, InitialCondition.excited(0),
-                          FinisherSpec("qubit", n - 1), 24.0)
+    got = diagram_classes(cfg, InitialCondition.excited(0), (n - 1,), 24.0)
     assert len(got) == classes
     assert sum(c.weight for c in got) == paths
 
@@ -357,8 +386,8 @@ def test_float_spacing_shares_one_gap_counter():
     counts = []
     for sep in (1.0, 0.1):
         cfg = ChainConfig(8, 4.0, 1.0, sep)
-        classes = diagram_classes(cfg, InitialCondition.excited(0),
-                                  FinisherSpec("qubit", 7), 24.0 * sep)
+        classes = diagram_classes(cfg, InitialCondition.excited(0), (7,),
+                                  24.0 * sep)
         assert all(len(c.crossings) == 1 for c in classes)
         counts.append(len(classes))
     assert counts == [36, 36]
@@ -367,14 +396,13 @@ def test_float_spacing_shares_one_gap_counter():
 def test_class_cap_counts_classes(monkeypatch):
     cfg = ChainConfig(4, 4.0, 1.0, 1.0)
     init = InitialCondition.excited(0)
-    target = FinisherSpec("qubit", 3)
-    monkeypatch.setenv("WQED_DIAGRAM_CAP", "44")
-    assert len(diagram_classes(cfg, init, target, 24.0)) == 44
+    monkeypatch.setattr(diagrams, "DIAGRAM_CAP", 44)
+    assert len(diagram_classes(cfg, init, (3,), 24.0)) == 44
     with pytest.raises(HorizonTooLarge):       # the walk counts paths
-        enumerate_diagrams(cfg, init, target, 24.0)
-    monkeypatch.setenv("WQED_DIAGRAM_CAP", "43")
+        enumerate_diagrams(cfg, init, FinisherSpec("qubit", 3), 24.0)
+    monkeypatch.setattr(diagrams, "DIAGRAM_CAP", 43)
     with pytest.raises(HorizonTooLarge):
-        diagram_classes(cfg, init, target, 24.0)
+        diagram_classes(cfg, init, (3,), 24.0)
 
 
 def test_class_function_is_the_product_of_coefficients():

@@ -6,7 +6,7 @@ import pytest
 from wqed.core import ChainConfig, InitialCondition, PulseSpec
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
-from wqed import fermi
+from wqed import evaluator, fermi, oracle
 from wqed.errors import HorizonTooLarge
 
 J0 = 1.0
@@ -143,6 +143,55 @@ def test_unitarity_pulse_left_three_qubits():
     init = InitialCondition.incident(PulseSpec(2.0, 1.0, "left"))
     for t in (0.6, 2.3, 4.8):
         assert total_norm(cfg3, init, t) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("init", [
+    InitialCondition.excited(0),
+    InitialCondition.incident(PulseSpec(0.7, 1.2, "right"))])
+def test_norm_at_t0_is_one(cfg, init):
+    """At t = 0 the norm is the t -> 0+ limit, not Theta(0) = 1/2 of the
+    excited qubit's own term."""
+    assert total_norm(cfg, init, 0.0) == pytest.approx(1.0, abs=1e-13)
+    assert total_norm(ChainConfig(1, 10.0, J0, 0.0), init, 0.0) \
+        == pytest.approx(1.0, abs=1e-13)
+
+
+def test_field_where_field_finishers_refuse():
+    """n = 5 at 1/8 spacing: the field-finisher residue step refuses this
+    case, but the field is the qubits' emission and the amplitudes are
+    fine. It matches the oracle off the two jump fronts."""
+    cfg5 = ChainConfig(5, 4.0, J0, 0.125)
+    init = InitialCondition.excited(0)
+    t = 0.875
+    xs = np.concatenate([np.linspace(-1.0, 1.5, 201), cfg5.positions])
+    _, pr, pl = field_profile(cfg5, init, t, xs).arrays()
+    hist = oracle.integrate_chain(cfg5, init, t, 1 / 2048)
+    err = 0.0
+    for x, r, l in zip(xs, pr, pl):
+        if abs(abs(x) - t) > 1e-9:
+            ref_r, ref_l = oracle.reconstruct_field(hist, cfg5, float(x), t)
+            err = max(err, abs(r - ref_r), abs(l - ref_l))
+    assert err < 1e-9
+    assert total_norm(cfg5, init, t) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_one_class_pass_per_observable(monkeypatch):
+    """The field and the norm take every qubit's amplitude from a single
+    diagram-class pass."""
+    calls = []
+    original = evaluator.diagram_classes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evaluator, "diagram_classes", counted)
+    cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
+    init = InitialCondition.excited(1)
+    total_norm(cfg3, init, 4.5)
+    assert len(calls) == 1
+    field_profile(cfg3, init, 4.5, [0.0, 1.5])
+    assert len(calls) == 2
 
 
 def test_norm_decays_into_field(cfg, excited):
