@@ -8,7 +8,7 @@ independent delay-differential-equation integrator.
 from .core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
                    TimeSeriesAmplitude, eval_series, eval_term)
 from .diagrams import (CellKind, Diagram, DiagramClass, DiagramState,
-                       FinisherSpec, UnitCell, apply_cell, class_function,
+                       FinisherSpec, UnitCell, apply_cell, class_terms,
                        diagram_classes, enumerate_diagrams, finish_excitation,
                        finish_field)
 from .errors import (GeometryError, HorizonTooLarge, IllConditioned,

@@ -131,6 +131,7 @@ def cmd_simulate(args) -> int:
     header = ["t"]
     columns = [ts]
     field_requested = False
+    requested = []          # (observable, qubit)
     for obs in observables:
         if obs == "field":
             field_requested = True
@@ -143,8 +144,12 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"bad qubit index in observable {obs!r}")
         if not (0 <= q < cfg.num_qubits):
             raise ConfigError(f"observable {obs!r} out of range")
-        amp = evaluator.excitation_amplitude(cfg, init, q, horizon)
-        vals = amp(ts)
+        requested.append((obs, q))
+    if requested:
+        amps = evaluator.amplitudes(cfg, init,
+                                    tuple(q for _, q in requested), horizon)
+    for obs, q in requested:
+        vals = amps[q](ts)
         header += [f"{obs}.re", f"{obs}.im", f"{obs}.abs2"]
         columns += [vals.real, vals.imag, np.abs(vals) ** 2]
     if len(header) > 1:
@@ -234,9 +239,7 @@ def _check_oracle(cfg, init, horizon) -> dict:
     hist = oracle.integrate_chain(cfg, init, horizon, dt)
     ts = hist.times()[1:]   # skip t=0, where the closed form takes Theta(0)=0.5
     worst = 0.0
-    for q in range(cfg.num_qubits):
-        amp = evaluator.excitation_amplitude(
-            cfg, init, q, horizon * (1 + 1e-12) + 1e-12)
+    for q, amp in evaluator.all_amplitudes(cfg, init, horizon).items():
         worst = max(worst, float(np.max(np.abs(
             amp(ts) - hist.amplitudes(q)[1:]))))
     return {"pass": worst < 1e-5, "max_error": worst, "dt": dt}
@@ -244,9 +247,7 @@ def _check_oracle(cfg, init, horizon) -> dict:
 
 def _check_norm(cfg, init, horizon) -> dict:
     ts = np.linspace(horizon / 50, horizon * (1 - 1e-9), 50)
-    worst = 0.0
-    for t in ts:
-        worst = max(worst, abs(float(evaluator.total_norm(cfg, init, float(t))) - 1.0))
+    worst = float(np.max(np.abs(evaluator.total_norm(cfg, init, ts) - 1.0)))
     return {"pass": worst < 1e-6, "max_norm_deviation": worst}
 
 

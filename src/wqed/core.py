@@ -185,6 +185,33 @@ def eval_series(series: TimeSeriesAmplitude, t):
     return out
 
 
+def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
+    """A-priori bound on the rounding error of `series` at any t < t_f.
+
+    Horner's rule on a polynomial of degree d errs by at most about
+    2 d u sum_k |c_k| tau^k (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 5), so with eps = 2u a term's error is below
+    eps (d + 1) sum_k |c_k| tau^k exp(-kappa tau), kappa = -Im pole, and
+    tau^k exp(-kappa tau) peaks at tau_k = min(k / kappa, t_f - delay) on
+    the term's support. The bound sums that over the (causal) terms; it
+    sees the cancellation inside a polynomial and between terms, which the
+    sum of |term(t)| does not.
+    """
+    if not series.terms:
+        return 0.0
+    packed = _pack_terms(series.terms)
+    kappa = -packed.poles.imag[:, None]
+    k = np.arange(packed.coeffs.shape[1])
+    tau = np.minimum(k / kappa, (t_f - packed.delays)[:, None])
+    with np.errstate(divide="ignore"):
+        # logarithms: tau^k alone overflows for k near 171
+        log = (np.log(np.abs(packed.coeffs))
+               + k * np.log(tau, out=np.zeros_like(tau), where=k > 0)
+               - kappa * tau)
+    size = np.array([len(tm.poly_coeffs) for tm in series.terms])
+    return float(np.finfo(float).eps * (size * np.exp(log).sum(axis=1)).sum())
+
+
 def _pack_terms(terms) -> _kernels.PackedTerms:
     delays = np.array([tm.delay for tm in terms], dtype=float)
     poles = np.array([tm.pole + tm.carrier for tm in terms], dtype=complex)

@@ -14,11 +14,12 @@ the requested horizon is kept, so the resulting series is exact for t < t_f.
 A diagram's rational function depends only on its numbers of transmissions
 and reflections, and its delay only on how often it crosses each gap. The
 qubit amplitudes therefore sum over weighted classes (`diagram_classes`, a
-dynamic program over those integer counts) rather than over single paths;
-the field follows from the amplitudes (see `evaluator`).
+dynamic program over those integer counts) rather than over single paths,
+and `class_terms` writes each class's residues in closed form; the field
+follows from the amplitudes (see `evaluator`).
 `enumerate_diagrams` walks the binary tree path by path, with qubit or field
-finishers, and is kept as the reference the classes and the field are
-tested against.
+finishers whose residues come from `momentum`'s partial fractions, and is
+kept as the reference the classes and the field are tested against.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from enum import Enum
 
 from .core import ChainConfig, DelayedTerm, InitialCondition, TimeSeriesAmplitude
 from .errors import GeometryError, HorizonTooLarge
-from .momentum import (RationalFn, coeff_e, coeff_r, coeff_t, inverse_transform,
-                       mul, pulse_spectrum, simple_pole)
+from .momentum import (_MAX_ORDER, RationalFn, coeff_e, coeff_r, coeff_t,
+                       inverse_transform, mul, pulse_spectrum, simple_pole)
 
 #: Largest number of diagrams (tree walk) or classes (dynamic program) kept
 #: before HorizonTooLarge is raised.
@@ -326,7 +327,7 @@ def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
 class DiagramClass:
     """All diagrams sharing a finisher, gap-crossing counts, #T and #R.
 
-    They share one rational function (`class_function`) and one delay;
+    They share one class function (its terms: `class_terms`) and one delay;
     `weight` is their number. `crossings[g]` counts the hops across the
     chain's g-th distinct gap length (gaps equal within _GEOM_TOL share a
     count, in order of first appearance from the left).
@@ -341,24 +342,69 @@ class DiagramClass:
     self_decay: bool = False
 
 
-def _starter(cfg: ChainConfig, init: InitialCondition) -> RationalFn:
-    if init.kind == "excited_qubit":
-        return _starter_excited(cfg.j0)
-    return start_pulse(cfg, init.pulse).f
+_NEG_I_POW = (1, -1j, -1, 1j)       # (-i)^k by k mod 4
 
 
-def class_function(cfg: ChainConfig, init: InitialCondition, n_t: int,
-                   n_r: int) -> RationalFn:
-    """starter * (-i*J0)^n_r * D^n_t / (D + i*J0)^(n_t + n_r), in closed form.
+def _neg_i_pow(k: int, x: float = 1.0) -> complex:
+    """(-i x)^k, with the phase taken exactly from a table."""
+    return _NEG_I_POW[k % 4] * x ** k
 
-    This is the product of the starter with n_t transmission and n_r
-    reflection coefficients, in any order.
+
+def class_terms(cfg: ChainConfig, init: InitialCondition, n_t: int, n_r: int,
+                self_decay: bool = False) -> tuple[DelayedTerm, ...]:
+    """The time-domain terms, at delay 0, of a qubit-finisher class.
+
+    The class function is starter * n_t transmissions * n_r reflections *
+    pickup, with P sqrt(J0) (-iJ0)^n_r = K and a = n_t:
+
+        K D^a / (D + iJ0)^m,                 m = n_t + n_r + 2,
+
+    for an excited start (P = sqrt(J0)) and for a pulse with sigma == J0
+    exactly, and otherwise, P from `pulse_spectrum`,
+
+        K D^a / ((D + i sigma) (D + iJ0)^m), m = n_t + n_r + 1.
+
+    With u = D + iJ0, D^a = (u - iJ0)^a binomially, so the coefficient of
+    u^-k is K b_(m-k) with b_r = C(a, r) (-iJ0)^(a-r); the factor
+    1/(u + delta), delta = i(sigma - J0), turns that into the recurrence
+    b_r = (C(a, r) (-iJ0)^(a-r) - b_(r-1)) / delta. The residue at -iJ0
+    gives the tau^(k-1) coefficient K b_(m-k) (-i)^k / (k-1)!, and the
+    simple pole at -i sigma the term -i K (-i sigma)^a / (i(J0 - sigma))^m.
+    The self-decay class is exp(-J0 tau): its momentum integrand runs over
+    both branches, 2 J0 / (D^2 + J0^2), of which only the causal pole -iJ0
+    contributes for tau > 0.
+
+    Pole orders m above 171 raise HorizonTooLarge: (m-1)! overflows float64.
     """
-    starter = _starter(cfg, init)
-    (c,) = starter.numer
-    c = c * (1, -1j, -1, 1j)[n_r % 4] * cfg.j0 ** n_r
-    scatter = ((-1j * cfg.j0, n_t + n_r),) if n_t + n_r else ()
-    return RationalFn((0j,) * n_t + (c,), starter.poles + scatter)
+    j0 = cfg.j0
+    if self_decay:
+        return (DelayedTerm(0.0, -1j * j0, (1.0 + 0j,), cfg.omega),)
+    if init.kind == "excited_qubit":
+        p, sigma = math.sqrt(j0), j0
+    else:
+        (p,) = start_pulse(cfg, init.pulse).f.numer
+        sigma = init.pulse.sigma
+    pref = p * math.sqrt(j0) * _neg_i_pow(n_r, j0)     # K
+    a = n_t
+    m = n_t + n_r + 1 + (sigma == j0)
+    if m > _MAX_ORDER:
+        raise HorizonTooLarge(f"pole order {m} exceeds {_MAX_ORDER}: "
+                              f"({m}-1)! overflows float64")
+    b = [math.comb(a, r) * _neg_i_pow(a - r, j0) if r <= a else 0j
+         for r in range(m)]
+    terms = []
+    if sigma != j0:
+        delta = 1j * (sigma - j0)
+        prev = 0j
+        for r in range(m):
+            prev = b[r] = (b[r] - prev) / delta
+        residue = pref * _neg_i_pow(a, sigma) / (1j * (j0 - sigma)) ** m
+        terms.append(DelayedTerm(0.0, -1j * sigma, (-1j * residue,),
+                                 cfg.omega))
+    coeffs = tuple(pref * b[m - k] * _neg_i_pow(k) / math.factorial(k - 1)
+                   for k in range(1, m + 1))
+    terms.append(DelayedTerm(0.0, -1j * j0, coeffs, cfg.omega))
+    return tuple(terms)
 
 
 def _gap_counters(cfg: ChainConfig) -> tuple[tuple[float, ...], tuple[int, ...]]:

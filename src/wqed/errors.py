@@ -10,7 +10,9 @@ class GeometryError(WqedError):
 
 
 class IllConditioned(WqedError):
-    """Two distinct poles are too close to separate reliably."""
+    """Rounding could cost the answer its digits: an amplitude series'
+    a-priori rounding bound exceeds evaluator.ROUNDING_TOL, or, in the
+    reference residue step, partial fractions fail their checks."""
 
 
 class RealAxisPole(WqedError):

@@ -1,9 +1,11 @@
 """Assemble observables from weighted diagram classes.
 
 Qubit excitation amplitudes are direct sums of finished diagram classes.
-Within one call the residue step runs once per distinct class function, at
-delay 0; each class then shifts those terms to its delay and scales them by
-its weight (its number of diagrams).
+Within one call the closed-form terms (`diagrams.class_terms`) are built
+once per distinct class function, at delay 0; each class then shifts those
+terms to its delay and scales them by its weight (its number of diagrams).
+A merged series whose a-priori rounding bound exceeds ROUNDING_TOL raises
+IllConditioned.
 
 The field is the qubits' emission. By the waveguide input-output relation
 (Fan, Kocabas & Shen, Phys. Rev. A 82, 063821 (2010))
@@ -30,15 +32,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition,
-                   TimeSeriesAmplitude)
-from .diagrams import (Diagram, class_function, diagram_classes,
-                       finish_excitation, start_pulse)
+                   TimeSeriesAmplitude, rounding_bound)
+from .diagrams import class_terms, diagram_classes, start_pulse
+from .errors import IllConditioned
 # Unused here: kept only because perfbench/tracing.py wraps these names and
 # its self-test requires every wrap target to exist.
-from .diagrams import enumerate_diagrams, field_terms  # noqa: F401
-from .momentum import inverse_transform
+from .diagrams import (enumerate_diagrams, field_terms,  # noqa: F401
+                       finish_excitation)
+from .momentum import inverse_transform  # noqa: F401
 
 _PROBE_POINTS = 2001      # causality_probe's grid over the light-cone time
+#: Largest a-priori rounding bound of an amplitude series (|e| <= 1, so the
+#: tolerance is absolute) before IllConditioned is raised.
+ROUNDING_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,42 +85,55 @@ def merge_terms(terms) -> tuple[DelayedTerm, ...]:
 def excitation_amplitude(cfg: ChainConfig, init: InitialCondition,
                          qubit: int, t_f: float) -> TimeSeriesAmplitude:
     """Closed-form excitation amplitude of `qubit`, exact for t < t_f."""
-    return _amplitudes(cfg, init, (qubit,), t_f)[qubit]
+    return amplitudes(cfg, init, (qubit,), t_f)[qubit]
 
 
-def _amplitudes(cfg: ChainConfig, init: InitialCondition,
-                qubits: tuple[int, ...],
-                t_f: float) -> dict[int, TimeSeriesAmplitude]:
+def amplitudes(cfg: ChainConfig, init: InitialCondition,
+               qubits: tuple[int, ...],
+               t_f: float) -> dict[int, TimeSeriesAmplitude]:
     """Excitation amplitudes of `qubits`, exact for t < t_f, from one class
-    pass: the residue step runs once per distinct class function
-    (#T, #R, self-decay) at delay 0, and each class shifts those terms to
-    its delay and scales them by its weight."""
+    pass: the closed-form terms are built once per distinct class function
+    (#T, #R, self-decay) at delay 0, and each class shifts them to its delay
+    and scales them by its weight.
+
+    Raises IllConditioned if a merged series' a-priori rounding bound
+    (`core.rounding_bound`) exceeds ROUNDING_TOL.
+    """
     base: dict[tuple, tuple[DelayedTerm, ...]] = {}
     terms: dict[int, list[DelayedTerm]] = {q: [] for q in qubits}
     for c in diagram_classes(cfg, init, qubits, t_f):
         key = (c.n_t, c.n_r, c.self_decay)
         if key not in base:
-            f = class_function(cfg, init, c.n_t, c.n_r)
-            base[key] = finish_excitation(
-                cfg, Diagram((c.finisher,), f, 0.0, c.self_decay)).terms
+            base[key] = class_terms(cfg, init, *key)
         terms[c.finisher.qubit].extend(
             replace(tm, delay=c.delay, poly_coeffs=tuple(
                 np.asarray(tm.poly_coeffs) * float(c.weight)))
             for tm in base[key])
-    return {q: TimeSeriesAmplitude(merge_terms(ts), label=f"e:{q}")
-            for q, ts in terms.items()}
+    out = {}
+    for q, ts in terms.items():
+        out[q] = TimeSeriesAmplitude(merge_terms(ts), label=f"e:{q}")
+        bound = rounding_bound(out[q], t_f)
+        if bound > ROUNDING_TOL:
+            raise IllConditioned(
+                f"e:{q} before t_f={t_f}: rounding bound {bound:.2g} "
+                f"exceeds {ROUNDING_TOL:g}")
+    return out
+
+
+def _through(t: float) -> float:
+    """A horizon whose series are exact up to and including time t."""
+    return t * (1 + 1e-12) + 1e-12
+
+
+def all_amplitudes(cfg: ChainConfig, init: InitialCondition,
+                   t: float) -> dict[int, TimeSeriesAmplitude]:
+    """Every qubit's amplitude, exact up to and including time t."""
+    return amplitudes(cfg, init, tuple(range(cfg.num_qubits)), _through(t))
 
 
 # ---------------------------------------------------------------------------
 # Field: the qubits' emission, read at the retarded times of the positions
 # ---------------------------------------------------------------------------
-
-def _all_amplitudes(cfg: ChainConfig, init: InitialCondition,
-                    t: float) -> dict[int, TimeSeriesAmplitude]:
-    """Every qubit's amplitude, exact up to and including time t."""
-    return _amplitudes(cfg, init, tuple(range(cfg.num_qubits)),
-                       t * (1 + 1e-12) + 1e-12)
-
 
 def _segments(cfg: ChainConfig, init: InitialCondition, t: float,
               amps: dict[int, TimeSeriesAmplitude]) -> dict[str, list]:
@@ -140,9 +159,11 @@ def _segments(cfg: ChainConfig, init: InitialCondition, t: float,
         spec = init.pulse
         sign = -1.0 if spec.direction == "right" else 1.0
         entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
-        terms = inverse_transform(start_pulse(cfg, spec).f, spec.x0, cfg.omega)
+        # the spectrum P / (D + i sigma) at the entry qubit, from x0 on
+        (p,) = start_pulse(cfg, spec).f.numer
+        term = DelayedTerm(spec.x0, -1j * spec.sigma, (-1j * p,), cfg.omega)
         out[spec.direction].append((math.inf, t - sign * cfg.positions[entry],
-                                    1.0, TimeSeriesAmplitude(tuple(terms))))
+                                    1.0, TimeSeriesAmplitude((term,))))
     return out
 
 
@@ -162,7 +183,7 @@ def field_profile(cfg: ChainConfig, init: InitialCondition, t: float,
                   xs) -> FieldProfile:
     """Right/left-moving field components at time t on the given positions."""
     xs = np.array(xs, dtype=float)
-    segments = _segments(cfg, init, t, _all_amplitudes(cfg, init, t))
+    segments = _segments(cfg, init, t, all_amplitudes(cfg, init, t))
     return FieldProfile(t, xs, _branch_field(segments["right"], -xs),
                         _branch_field(segments["left"], xs))
 
@@ -258,11 +279,29 @@ def _branch_norm(segments) -> float:
     return total
 
 
-def total_norm(cfg: ChainConfig, init: InitialCondition, t: float) -> float:
-    """Sum of qubit populations and field norm at time t."""
-    if t < 0:
+def total_norm(cfg: ChainConfig, init: InitialCondition, t):
+    """Sum of qubit populations and field norm at time t.
+
+    `t` may be an array of times; one class pass, at the largest of them,
+    then serves them all, and each time reads only the terms that have
+    switched on by it.
+    """
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
         raise ValueError("t must be non-negative")
-    amps = _all_amplitudes(cfg, init, t)
+    amps = all_amplitudes(cfg, init, float(ts.max(initial=0.0)))
+    norms = np.array([_norm_at(cfg, init, float(ti), amps)
+                      for ti in ts.ravel()])
+    return float(norms[0]) if ts.ndim == 0 else norms.reshape(ts.shape)
+
+
+def _norm_at(cfg: ChainConfig, init: InitialCondition, t: float,
+             amps: dict[int, TimeSeriesAmplitude]) -> float:
+    """The norm at time t from amplitudes exact up to a horizon >= t."""
+    horizon = _through(t)
+    amps = {q: replace(amp, terms=tuple(tm for tm in amp.terms
+                                        if tm.delay < horizon))
+            for q, amp in amps.items()}
     if t == 0:
         # the t -> 0+ limit: at t = 0 the excited qubit's own term would
         # take Theta(0) = 1/2, while the field is still empty

@@ -19,11 +19,17 @@ Im(p) < 0 and order m contributes
 
 closing the contour downward for tau > 0; poles with Im(p) > 0 contribute
 only for tau < 0 (anti-causal terms, flagged).
+
+The amplitude engine splits no partial fractions: its class functions have
+poles only at -iJ0 and at a pulse's -i*sigma, and `diagrams.class_terms`
+writes their residues in closed form. `partial_fractions` and
+`inverse_transform` are the reference behind the per-cell rules
+(`diagrams.apply_cell`), the per-path tree walk and the tests of that
+closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -204,19 +210,9 @@ def partial_fractions(f: RationalFn) -> list[tuple[complex, int, complex]]:
     return pieces
 
 
-@functools.cache
-def _check_uniforms() -> np.ndarray:
-    """Unit uniforms of the recombination check's points, drawn once, on
-    first use: drawing at import would load numpy.random with the package."""
-    u = np.random.default_rng(20260826).random(16)
-    u.flags.writeable = False
-    return u
-
-
 def _check_recombination(f: RationalFn, pieces) -> None:
     scale = 1 + max((abs(p) for p, _ in f.poles), default=1.0)
-    # bitwise equal to rng.uniform(-4 * scale, 4 * scale) on the same draws
-    pts = -4 * scale + (4 * scale - (-4 * scale)) * _check_uniforms()
+    pts = np.random.default_rng(20260826).uniform(-4 * scale, 4 * scale, 16)
     ref = np.atleast_1d(f(pts))
     rec = np.zeros(len(pts), dtype=complex)
     for p, k, c in pieces:

@@ -231,9 +231,8 @@ def convergence_study(cfg: ChainConfig, init: InitialCondition, t_f: float,
     if the observed RK4 order drops below 3.5.
     """
     if reference is None:
-        from .evaluator import excitation_amplitude
-        amps = [excitation_amplitude(cfg, init, q, t_f * (1 + 1e-12) + 1e-12)
-                for q in range(cfg.num_qubits)]
+        from .evaluator import all_amplitudes
+        amps = all_amplitudes(cfg, init, t_f)
         reference = lambda q, ts: amps[q](ts)
     # lone qubit has no delay mesh to honor; pick a step base small enough
     # for the coarsest fraction to satisfy the 0.05/gamma0 limit

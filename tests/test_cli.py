@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from wqed import cli, diagrams
+from wqed import cli, diagrams, evaluator, momentum
 
 
 def _write_config(tmp_path, **overrides):
@@ -219,6 +219,57 @@ def test_check_norm_long_horizon(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert report["max_norm_deviation"] < 1e-12
+
+
+def _count_class_passes(monkeypatch):
+    calls = []
+    original = evaluator.diagram_classes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evaluator, "diagram_classes", counted)
+    return calls
+
+
+@pytest.mark.parametrize("what", ["oracle", "norm"])
+def test_check_makes_one_class_pass(tmp_path, capsys, monkeypatch, what):
+    conf = _write_config(tmp_path, chain={"n": 3, "omega": 3.7, "j0": 1,
+                                          "separation": 1}, horizon=6.0)
+    calls = _count_class_passes(monkeypatch)
+    assert cli.main(["check", "--what", what, conf]) == 0
+    assert len(calls) == 1
+
+
+def test_simulate_makes_one_class_pass(tmp_path, monkeypatch):
+    conf = _write_config(tmp_path, chain={"n": 3, "omega": 3.7, "j0": 1,
+                                          "separation": 1}, horizon=6.0)
+    calls = _count_class_passes(monkeypatch)
+    assert cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),
+                     "--observables", "e:2,e:0"]) == 0
+    assert len(calls) == 1
+    header = (tmp_path / "o.csv").read_text().splitlines()[0]
+    assert header == "t,e:2.re,e:2.im,e:2.abs2,e:0.re,e:0.im,e:0.abs2"
+
+
+@pytest.mark.parametrize("initial", [
+    {"kind": "excited_qubit", "qubit": 1},
+    {"kind": "pulse", "sigma": 0.7, "x0": 0.5, "direction": "right"},
+    {"kind": "pulse", "sigma": 1.0, "x0": 0.5, "direction": "left"}])
+def test_commands_need_no_partial_fractions(tmp_path, capsys, monkeypatch,
+                                            initial):
+    def refuse(f):
+        raise AssertionError("partial fractions on the runtime path")
+
+    monkeypatch.setattr(momentum, "partial_fractions", refuse)
+    conf = _write_config(tmp_path, chain={"n": 3, "omega": 3.7, "j0": 1,
+                                          "separation": 1}, horizon=4.0,
+                         initial=initial)
+    assert cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),
+                     "--observables", "e:0,e:2,field"]) == 0
+    for what in ("oracle", "norm", "causality"):
+        assert cli.main(["check", "--what", what, conf]) == 0
 
 
 def test_fermi_demo_outputs(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from wqed.core import ChainConfig, InitialCondition, PulseSpec
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
-from wqed import evaluator, fermi, oracle
-from wqed.errors import HorizonTooLarge
+from wqed import evaluator, fermi, momentum, oracle
+from wqed.errors import HorizonTooLarge, IllConditioned
 
 J0 = 1.0
 OMEGA = 3.7
@@ -192,6 +192,80 @@ def test_one_class_pass_per_observable(monkeypatch):
     assert len(calls) == 1
     field_profile(cfg3, init, 4.5, [0.0, 1.5])
     assert len(calls) == 2
+
+
+def _chain_start(n, sigma):
+    """Uniform chain (L = J0 = 1, Omega = 10) with qubit 0 excited, or with
+    a right-moving pulse of width sigma at x0 = L."""
+    cfg_n = ChainConfig(n, 10.0, 1.0, 1.0)
+    if sigma is None:
+        return cfg_n, InitialCondition.excited(0)
+    return cfg_n, InitialCondition.incident(PulseSpec(sigma, 1.0, "right"))
+
+
+@pytest.mark.parametrize("n, sigma, t_f", [
+    (3, None, 15.0), (8, None, 24.0), (2, 0.5, 8.0), (2, 0.9, 8.0),
+    (4, 0.7, 12.0)])
+def test_closed_form_answers_former_false_alarms(n, sigma, t_f):
+    """The partial-fraction recombination check refused all of these; the
+    closed-form class terms match the oracle at dt = L/80 (whose own error
+    is about 1e-9) on the last qubit."""
+    cfg_n, init = _chain_start(n, sigma)
+    amp = excitation_amplitude(cfg_n, init, n - 1, t_f)
+    hist = oracle.integrate_chain(cfg_n, init, t_f, 1 / 80)
+    ts = hist.times()[1:]
+    keep = ts < t_f
+    err = np.max(np.abs(amp(ts[keep]) - hist.amplitudes(n - 1)[1:][keep]))
+    assert err < 1e-8
+
+
+@pytest.mark.parametrize("n, sigma, t_f", [(2, 1.001, 8.0),
+                                           (20, None, 60.0)])
+def test_rounding_bound_refuses_lost_digits(n, sigma, t_f):
+    """Cancellation loses these answers (off the oracle by 2.9e2 and 0.73
+    with the bound ignored); the a-priori rounding bound refuses them."""
+    cfg_n, init = _chain_start(n, sigma)
+    with pytest.raises(IllConditioned):
+        excitation_amplitude(cfg_n, init, n - 1, t_f)
+
+
+@pytest.mark.parametrize("init", [
+    InitialCondition.excited(1),
+    InitialCondition.incident(PulseSpec(0.7, 1.0, "right")),
+    InitialCondition.incident(PulseSpec(J0, 1.0, "left"))])
+def test_runtime_needs_no_partial_fractions(monkeypatch, init):
+    def refuse(f):
+        raise AssertionError("partial fractions on the runtime path")
+
+    monkeypatch.setattr(momentum, "partial_fractions", refuse)
+    cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
+    ts = np.linspace(0.0, 6.0, 61)
+    assert np.all(np.isfinite(excitation_amplitude(cfg3, init, 2, 6.0)(ts)))
+    xs = np.linspace(-5.0, 7.0, 49)
+    _, pr, pl = field_profile(cfg3, init, 6.0, xs).arrays()
+    assert np.all(np.isfinite(pr)) and np.all(np.isfinite(pl))
+    assert total_norm(cfg3, init, 6.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_norm_at_many_times_from_one_class_pass(monkeypatch):
+    """An array of times takes one class pass and gives the scalar calls'
+    norms."""
+    cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
+    init = InitialCondition.excited(1)
+    ts = np.linspace(0.0, 6.0, 13)
+    want = [total_norm(cfg3, init, float(t)) for t in ts]
+    calls = []
+    original = evaluator.diagram_classes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evaluator, "diagram_classes", counted)
+    got = total_norm(cfg3, init, ts)
+    assert len(calls) == 1
+    assert got.shape == ts.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_norm_decays_into_field(cfg, excited):

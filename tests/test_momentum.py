@@ -176,14 +176,3 @@ def test_constant_function():
     c = constant(2.5 + 1j)
     assert c(0.7) == 2.5 + 1j
     assert not c.is_strictly_proper
-
-
-def test_check_points_equal_fresh_draws():
-    """The recombination check's points, from uniforms drawn once, are
-    bitwise the points a fresh generator would give at every scale."""
-    from wqed import momentum
-    for scale in (1.0, 2.0, 1 + 1e-9, 3.7, 1001.0, 7.123456789):
-        fresh = np.random.default_rng(20260826).uniform(-4 * scale, 4 * scale, 16)
-        once = (-4 * scale
-                + (4 * scale - (-4 * scale)) * momentum._check_uniforms())
-        assert np.array_equal(fresh, once)
