@@ -1,7 +1,7 @@
 """Hot numeric kernels, numpy only.
 
 * ``eval_terms_grid`` sums a packed closed-form term list on a time grid,
-  one array pass per term.
+  one array pass per term over the points where it is switched on.
 * ``dde_rk4`` integrates the delayed qubit-amplitude equations with RK4 and
   the method of steps, one block of steps at a time. A block is never longer
   than the shortest cross-qubit delay, so every delayed value it reads is
@@ -33,22 +33,30 @@ class PackedTerms:
 # ---------------------------------------------------------------------------
 
 def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
-    """Evaluate a packed term list on a time grid; returns complex array."""
+    """Evaluate a packed term list on a time grid; returns complex array.
+
+    Each term is evaluated only on its support (tau >= 0, or tau <= 0 for an
+    anti-causal term), where Theta is 1 or 1/2 at tau = 0, and its Horner
+    loop starts at its last non-zero coefficient: off the support a term is
+    exactly 0, and exp(kappa |tau|) could overflow there.
+    """
     out = np.zeros(t.shape[0], dtype=complex)
     for i in range(packed.delays.shape[0]):
+        nonzero = np.flatnonzero(packed.coeffs[i])
+        if not nonzero.size:
+            continue
         tau = t - packed.delays[i]
-        # Theta = 0, 1/2, 1; off the support tau is clamped to 0, so that
-        # exp(kappa |tau|) cannot overflow into Theta * inf = NaN there
-        if packed.anti[i]:
-            theta = 0.5 * (1.0 - np.sign(tau))
-            tau = np.minimum(tau, 0.0)
-        else:
-            theta = 0.5 * (1.0 + np.sign(tau))
-            tau = np.maximum(tau, 0.0)
-        poly = np.zeros_like(tau, dtype=complex)
-        for c in packed.coeffs[i, ::-1]:
+        # the support, and any NaN time, which then gives NaN
+        on = ~(tau > 0) if packed.anti[i] else ~(tau < 0)
+        tau = tau[on]
+        if not tau.size:
+            continue
+        top = nonzero[-1]
+        poly = packed.coeffs[i, top]
+        for c in packed.coeffs[i, :top][::-1]:
             poly = poly * tau + c
-        out += theta * poly * np.exp(-1j * packed.poles[i] * tau)
+        out[on] += (np.where(tau == 0, 0.5, 1.0) * poly
+                    * np.exp(-1j * packed.poles[i] * tau))
     return out
 
 

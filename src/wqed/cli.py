@@ -11,6 +11,14 @@ Subcommands:
 
 Exit codes: 0 success / check passed, 2 usage or config error, 3 runtime
 failure (e.g. the diagram cap was exceeded) or check failure.
+
+``CONFIG_SCHEMA`` is the one declaration of the config format. ``_conform``
+checks a config against it with JSON Schema's meaning of the few keywords
+the schema uses (an integral float is an integer, a bool is no number),
+naming the key path of the first fault, and hands integer fields on as
+``int``; it refuses any other keyword, so the schema cannot outgrow it. The
+import of a JSON Schema library would cost a quarter of the start-up time
+of every command.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import evaluator, fermi, oracle, scattering
@@ -71,13 +78,65 @@ CONFIG_SCHEMA = {
 }
 
 
-# Built once: jsonschema.validate would re-check the schema on every call.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(
-    CONFIG_SCHEMA)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON Schema's types: a bool is no number, an integral float is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+_KEYWORDS = {"type", "required", "properties", "additionalProperties", "enum",
+             "minimum", "exclusiveMinimum"}
 
 
 class ConfigError(Exception):
     pass
+
+
+def _conform(schema: dict, value, path: str = ""):
+    """`value` checked against `schema`, with its integers as int.
+
+    Raises ConfigError naming the key path of the first fault, and
+    NotImplementedError where `schema` uses more of JSON Schema than the
+    keywords in _KEYWORDS, the types in _TYPES and additionalProperties
+    false.
+    """
+    kind = schema.get("type")
+    if (schema.keys() - _KEYWORDS or kind not in (None, *_TYPES)
+            or schema.get("additionalProperties", False) is not False):
+        raise NotImplementedError(f"schema beyond the supported keywords: "
+                                  f"{schema}")
+    where = f"invalid config: {path}: " if path else "invalid config: "
+    if kind is not None and not _TYPES[kind](value):
+        raise ConfigError(f"{where}{value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(f"{where}{value!r} is not one of {schema['enum']!r}")
+    # a NaN passes both bounds, as in JSON Schema
+    number = _is_number(value)
+    if number and value < schema.get("minimum", -math.inf):
+        raise ConfigError(f"{where}{value!r} is less than the minimum of "
+                          f"{schema['minimum']!r}")
+    if number and value <= schema.get("exclusiveMinimum", -math.inf):
+        raise ConfigError(f"{where}{value!r} is less than or equal to the "
+                          f"minimum of {schema['exclusiveMinimum']!r}")
+    if kind == "integer":
+        return int(value)
+    if kind != "object":
+        return value
+    props = schema.get("properties", {})
+    for key in schema.get("required", []):
+        if key not in value:
+            raise ConfigError(f"{where}{key!r} is a required property")
+    extra = sorted(value.keys() - props.keys())
+    if "additionalProperties" in schema and extra:
+        raise ConfigError(f"{where}additional properties are not allowed: "
+                          + ", ".join(map(repr, extra)))
+    return {key: _conform(props[key], val, f"{path}.{key}" if path else key)
+            if key in props else val for key, val in value.items()}
 
 
 def load_config(path: str):
@@ -85,10 +144,7 @@ def load_config(path: str):
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    error = jsonschema.exceptions.best_match(
-        _CONFIG_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"invalid config: {error.message}")
+    raw = _conform(CONFIG_SCHEMA, raw)
     for name, section in raw.items():
         values = section.items() if isinstance(section, dict) else [(name, section)]
         for key, val in values:
@@ -145,9 +201,10 @@ def cmd_simulate(args) -> int:
         if not (0 <= q < cfg.num_qubits):
             raise ConfigError(f"observable {obs!r} out of range")
         requested.append((obs, q))
-    if requested:
-        amps = evaluator.amplitudes(cfg, init,
-                                    tuple(q for _, q in requested), horizon)
+    # one class pass: the field needs every qubit, exact through ts[-1]
+    qubits = (range(cfg.num_qubits) if field_requested
+              else [q for _, q in requested])
+    amps = evaluator.amplitudes(cfg, init, tuple(qubits), horizon)
     for obs, q in requested:
         vals = amps[q](ts)
         header += [f"{obs}.re", f"{obs}.im", f"{obs}.abs2"]
@@ -159,7 +216,7 @@ def cmd_simulate(args) -> int:
         span = horizon
         xs = np.linspace(cfg.positions[0] - span, cfg.positions[-1] + span,
                          grid.get("x_points", 401))
-        prof = evaluator.field_profile(cfg, init, t_snap, xs)
+        prof = evaluator._field_from(cfg, init, t_snap, xs, amps)
         _, pr, pl = prof.arrays()
         write_csv(_field_path(args.out), ["x", "psi_r.re", "psi_r.im",
                                           "psi_l.re", "psi_l.im", "abs2"],

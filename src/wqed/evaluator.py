@@ -182,8 +182,14 @@ def _branch_field(segments, s: np.ndarray) -> np.ndarray:
 def field_profile(cfg: ChainConfig, init: InitialCondition, t: float,
                   xs) -> FieldProfile:
     """Right/left-moving field components at time t on the given positions."""
+    return _field_from(cfg, init, t, xs, all_amplitudes(cfg, init, t))
+
+
+def _field_from(cfg: ChainConfig, init: InitialCondition, t: float, xs,
+                amps: dict[int, TimeSeriesAmplitude]) -> FieldProfile:
+    """field_profile from every qubit's amplitude, exact through time t."""
     xs = np.array(xs, dtype=float)
-    segments = _segments(cfg, init, t, all_amplitudes(cfg, init, t))
+    segments = _segments(cfg, init, t, amps)
     return FieldProfile(t, xs, _branch_field(segments["right"], -xs),
                         _branch_field(segments["left"], xs))
 

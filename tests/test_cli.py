@@ -1,8 +1,15 @@
+import copy
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed import cli, diagrams, evaluator, momentum
 
@@ -115,6 +122,147 @@ def test_bad_config_exits_2(tmp_path, mutation):
 def test_config_schema_is_valid():
     jsonschema.validators.validator_for(cli.CONFIG_SCHEMA).check_schema(
         cli.CONFIG_SCHEMA)
+
+
+# the example config of README's "Config schema" section, and its pulse start
+_README_CONFIG = {
+    "chain": {"n": 2, "omega": 3.7, "j0": 1.0, "separation": 0.5},
+    "initial": {"kind": "excited_qubit", "qubit": 0},
+    "horizon": 3.0,
+    "grid": {"t_points": 64, "x_points": 401},
+}
+_PULSE_START = {"kind": "pulse", "sigma": 1.0, "x0": 1.0, "direction": "right"}
+_SECTIONS = [(), ("chain",), ("initial",), ("grid",)]
+_KEYS = [("chain", k) for k in ("n", "omega", "j0", "separation")] + [
+    ("initial", k) for k in ("kind", "qubit", "sigma", "x0", "direction")] + [
+    ("horizon",), ("grid", "t_points"), ("grid", "x_points")] + [
+    (s,) for s in ("chain", "initial", "grid")]
+_WRONG_TYPES = st.sampled_from([True, False, "2", None, [], [1.0], {},
+                                {"n": 2}])
+_NUMBERS = st.sampled_from(
+    # at and just past each minimum and exclusiveMinimum (0, 1, 2)
+    [v for b in (0, 1, 2) for v in (b, float(b), b - 1, math.nextafter(b, -1),
+                                    math.nextafter(b, 3))]
+    # integral and non-integral floats
+    + [3, 3.0, 2.5, 0.5, -2.0, 1e3, 401.0])
+_STRINGS = st.sampled_from(["excited_qubit", "pulse", "right", "left", "",
+                            "Pulse", "up"])
+
+
+def _mutations():
+    drop = st.tuples(st.just("drop"), st.sampled_from(_KEYS))
+    add = st.tuples(st.just("add"), st.sampled_from(_SECTIONS))
+    put = st.sampled_from(_KEYS).flatmap(lambda path: st.tuples(
+        st.just("set"), st.just(path),
+        st.one_of(*[_STRINGS if path[-1] in ("kind", "direction")
+                    else _NUMBERS] * 3, _WRONG_TYPES)))
+    # mostly single value changes, so that many configs stay valid
+    return st.lists(st.one_of(put, put, put, put, drop, add), max_size=2)
+
+
+def _mutate(conf, mutation):
+    op, path = mutation[:2]
+    node = conf
+    for key in path[:-1] if op != "add" else path:
+        node = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        return
+    if op == "drop":
+        node.pop(path[-1], None)
+    elif op == "add":
+        node["bogus"] = 1
+    else:
+        node[path[-1]] = copy.deepcopy(mutation[2])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.booleans(), _mutations())
+def test_conform_agrees_with_jsonschema(pulse, mutations):
+    """The walker refuses a config exactly when JSON Schema does, and hands
+    it on unchanged but for integral numbers in integer fields, as int."""
+    conf = copy.deepcopy(_README_CONFIG)
+    if pulse:
+        conf["initial"] = dict(_PULSE_START)
+    for mutation in mutations:
+        _mutate(conf, mutation)
+    validator = jsonschema.validators.validator_for(cli.CONFIG_SCHEMA)
+    want = [e.message for e in validator(cli.CONFIG_SCHEMA).iter_errors(conf)]
+    try:
+        got = cli._conform(cli.CONFIG_SCHEMA, conf)
+    except cli.ConfigError as exc:
+        assert want, f"walker refused a valid config: {exc}"
+        assert str(exc).startswith("invalid config: ")
+        return
+    assert not want, f"walker accepted an invalid config: {want}"
+    assert got == conf
+    for path in [("chain", "n"), ("initial", "qubit"), ("grid", "t_points"),
+                 ("grid", "x_points")]:
+        if path[1] in got[path[0]]:
+            assert type(got[path[0]][path[1]]) is int
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string"},
+    {"type": "number", "maximum": 3},
+    {"type": "object", "additionalProperties": True},
+    {"type": "object", "properties": {"n": {"type": "integer",
+                                            "multipleOf": 2}}}])
+def test_conform_refuses_unknown_schema_keywords(schema):
+    with pytest.raises(NotImplementedError):
+        cli._conform(schema, {"n": 2})
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("chain", "n"), 0, "chain.n: 0 is less than the minimum of 1"),
+    (("chain", "n"), True, "chain.n: True is not of type 'integer'"),
+    (("initial", "kind"), "photon",
+     "initial.kind: 'photon' is not one of ['excited_qubit', 'pulse']"),
+    (("grid",), {"x_points": 2}, "grid: 't_points' is a required property"),
+    (("grid", "y"), 1, "grid: additional properties are not allowed: 'y'"),
+    (("horizon",), 0.0,
+     "horizon: 0.0 is less than or equal to the minimum of 0"),
+    (("initial",), "pulse", "initial: 'pulse' is not of type 'object'")])
+def test_conform_names_the_key_path(path, value, message):
+    conf = copy.deepcopy(_README_CONFIG)
+    _mutate(conf, ("set", path, value))
+    with pytest.raises(cli.ConfigError) as info:
+        cli._conform(cli.CONFIG_SCHEMA, conf)
+    assert str(info.value) == "invalid config: " + message
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--observables", "e:0,e:1,field"],
+    ["check", "--what", "oracle"]])
+@pytest.mark.parametrize("section, key", [
+    ("chain", "n"), ("initial", "qubit"), ("grid", "t_points"),
+    ("grid", "x_points")])
+def test_integral_float_config_matches_integer_twin(tmp_path, capsys, argv,
+                                                    section, key):
+    outputs = []
+    for twin in ("int", "float"):
+        conf = {"chain": {"n": 2, "omega": 3.7, "j0": 1.0, "separation": 0.5},
+                "initial": {"kind": "excited_qubit", "qubit": 1},
+                "horizon": 3.0, "grid": {"t_points": 64, "x_points": 11}}
+        if twin == "float":
+            conf[section][key] = float(conf[section][key])
+        work = tmp_path / twin
+        work.mkdir()
+        (work / "conf.json").write_text(json.dumps(conf))
+        extra = ["--out", str(work / "o.csv")] if argv[0] == "simulate" else []
+        assert cli.main(argv + extra + [str(work / "conf.json")]) == 0
+        outputs.append((capsys.readouterr().out,
+                        [p.read_bytes() for p in sorted(work.glob("o*.csv"))]))
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_jsonschema_out():
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import wqed, wqed.cli, sys; print('jsonschema' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_chain_rejected_by_config_exits_2(tmp_path, capsys):
@@ -246,11 +394,14 @@ def test_simulate_makes_one_class_pass(tmp_path, monkeypatch):
     conf = _write_config(tmp_path, chain={"n": 3, "omega": 3.7, "j0": 1,
                                           "separation": 1}, horizon=6.0)
     calls = _count_class_passes(monkeypatch)
-    assert cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),
-                     "--observables", "e:2,e:0"]) == 0
-    assert len(calls) == 1
-    header = (tmp_path / "o.csv").read_text().splitlines()[0]
-    assert header == "t,e:2.re,e:2.im,e:2.abs2,e:0.re,e:0.im,e:0.abs2"
+    for observables, header in [
+            ("e:2,e:0", "t,e:2.re,e:2.im,e:2.abs2,e:0.re,e:0.im,e:0.abs2"),
+            ("e:0,field", "t,e:0.re,e:0.im,e:0.abs2")]:
+        calls.clear()
+        assert cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),
+                         "--observables", observables]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "o.csv").read_text().splitlines()[0] == header
 
 
 @pytest.mark.parametrize("initial", [

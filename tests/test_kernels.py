@@ -19,6 +19,27 @@ def _random_terms(rng, n=8):
     return tuple(terms)
 
 
+# eval_terms_grid before it skipped each term's off-support points and its
+# zero-padded top coefficients: every term over the whole grid, Theta from
+# sign(tau), Horner over all padded coefficients. The kernel must agree with
+# it bit for bit.
+def _padded_reference(packed, t):
+    out = np.zeros(t.shape[0], dtype=complex)
+    for i in range(packed.delays.shape[0]):
+        tau = t - packed.delays[i]
+        if packed.anti[i]:
+            theta = 0.5 * (1.0 - np.sign(tau))
+            tau = np.minimum(tau, 0.0)
+        else:
+            theta = 0.5 * (1.0 + np.sign(tau))
+            tau = np.maximum(tau, 0.0)
+        poly = np.zeros_like(tau, dtype=complex)
+        for c in packed.coeffs[i, ::-1]:
+            poly = poly * tau + c
+        out += theta * poly * np.exp(-1j * packed.poles[i] * tau)
+    return out
+
+
 def test_grid_eval_matches_term_sum():
     rng = np.random.default_rng(0)
     terms = _random_terms(rng)
@@ -26,6 +47,25 @@ def test_grid_eval_matches_term_sum():
     got = _kernels.eval_terms_grid(_pack_terms(terms), t)
     want = sum(eval_term(tm, t) for tm in terms)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+    # mixed degrees (one with zero top coefficients), an anti-causal term,
+    # an all-zero term, grid points exactly on the delays (Theta = 1/2), a
+    # NaN time and, off the supports, kappa |tau| up to 1200, where exp
+    # overflows
+    terms = terms + (
+        DelayedTerm(1.5, -1 - 0.5j, (1.0, 0.0, 2 - 1j, 0.0, 0.0), 2.0),
+        DelayedTerm(0.25, 0.3 - 300j, (0.5j,), 0.0),
+        DelayedTerm(4.0, 2 + 300j, (1.0, -1.0), 1.0, anti_causal=True),
+        DelayedTerm(2.0, -1j, (0.0, 0.0), 0.0))
+    t = rng.permutation(np.concatenate([np.linspace(-4, 8, 97),
+                                        [1.5, 0.25, 4.0, 2.0, np.nan]]))
+    packed = _pack_terms(terms)
+    got = _kernels.eval_terms_grid(packed, t)
+    want = sum(eval_term(tm, t) for tm in terms)
+    assert np.array_equal(np.isfinite(got), np.isfinite(t))
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    ref = _padded_reference(packed, t)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("anti", [False, True])
