@@ -26,6 +26,7 @@ class PackedTerms:
     poles: np.ndarray   # (n,) complex128, carrier already folded in
     coeffs: np.ndarray  # (n, m) complex128, ascending, zero padded
     anti: np.ndarray    # (n,) bool
+    tops: tuple[int, ...]  # index of each row's last non-zero, -1 if none
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +42,8 @@ def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
     exactly 0, and exp(kappa |tau|) could overflow there.
     """
     out = np.zeros(t.shape[0], dtype=complex)
-    for i in range(packed.delays.shape[0]):
-        nonzero = np.flatnonzero(packed.coeffs[i])
-        if not nonzero.size:
+    for i, top in enumerate(packed.tops):
+        if top < 0:
             continue
         tau = t - packed.delays[i]
         # the support, and any NaN time, which then gives NaN
@@ -51,7 +51,6 @@ def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
         tau = tau[on]
         if not tau.size:
             continue
-        top = nonzero[-1]
         poly = packed.coeffs[i, top]
         for c in packed.coeffs[i, :top][::-1]:
             poly = poly * tau + c

@@ -249,23 +249,20 @@ def cmd_fermi_demo(args) -> int:
               [ts, e1.real, e1.imag, np.abs(e1) ** 2, np.abs(mk) ** 2])
     xs = np.linspace(-L / 2, L / 2, 401)
     for t_snap in (0.5 * L, 1.5 * L, 2.5 * L):
-        st = fermi.fermi_full_state(t_snap, xs, j0, omega, L)
+        # the internal field only: the rest of fermi_full_state goes unused
+        psi_ri, psi_li = fermi._internal_field(t_snap, xs, j0, omega, L)
         write_csv(str(outdir / f"field_L{args.L}_t{t_snap:g}.csv"),
                   ["x", "psi_Ri.re", "psi_Ri.im", "psi_Li.re", "psi_Li.im"],
-                  [xs, st["psi_Ri"].real, st["psi_Ri"].imag,
-                   st["psi_Li"].real, st["psi_Li"].imag])
+                  [xs, psi_ri.real, psi_ri.imag, psi_li.real, psi_li.imag])
     return 0
 
 
 def _check_causality(cfg, init) -> dict:
-    worst = 0.0
-    details = {}
-    for q in range(cfg.num_qubits):
-        if init.kind == "excited_qubit" and q == init.qubit:
-            continue
-        m = evaluator.causality_probe(cfg, init, q)
-        details[f"e:{q}"] = m
-        worst = max(worst, m)
+    probed = tuple(q for q in range(cfg.num_qubits)
+                   if not (init.kind == "excited_qubit" and q == init.qubit))
+    details = {f"e:{q}": m for q, m in
+               evaluator.causality_probes(cfg, init, probed).items()}
+    worst = max((0.0, *details.values()))
     return {"pass": worst == 0.0, "max_inside_cone": worst, "details": details}
 
 

@@ -14,7 +14,9 @@ Theta(t0 - t) instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from . import _kernels
 
 #: Heaviside value at the step, applied uniformly across the package.
 THETA_AT_ZERO = 0.5
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,13 @@ def eval_term(term: DelayedTerm, t):
 
 @dataclass(frozen=True)
 class TimeSeriesAmplitude:
-    """A finite sum of delayed terms with a label naming the observable."""
+    """A finite sum of delayed terms with a label naming the observable.
+
+    `packed`, the array layout that `eval_series` and `rounding_bound`
+    read, is built once per series, on first use or by `packed_series`
+    straight from merged coefficient rows; it is not a field, so equality
+    and hashing see only the terms and the label.
+    """
 
     terms: tuple[DelayedTerm, ...]
     label: str = ""
@@ -167,10 +176,34 @@ class TimeSeriesAmplitude:
     def __call__(self, t):
         return eval_series(self, t)
 
+    @functools.cached_property
+    def packed(self) -> _kernels.PackedTerms:
+        return _pack_terms(self.terms)
+
     def support_start(self) -> float:
         """Earliest time at which any causal term can be nonzero."""
         causal = [tm.delay for tm in self.terms if not tm.anti_causal]
         return min(causal) if causal else np.inf
+
+    def before(self, horizon: float) -> "TimeSeriesAmplitude":
+        """The series of the terms with delay < horizon.
+
+        The terms must be sorted by delay, as merged series are; the kept
+        terms are then a prefix, and their pack a slice of this one's.
+        """
+        k = bisect.bisect_left(self.terms, horizon, key=lambda tm: tm.delay)
+        if k == len(self.terms):
+            return self
+        if any(tm.delay < horizon for tm in self.terms[k:]):
+            raise ValueError("terms are not sorted by delay")
+        out = TimeSeriesAmplitude(self.terms[:k], self.label)
+        if k:
+            p = self.packed
+            width = max(len(tm.poly_coeffs) for tm in out.terms)
+            _with_pack(out, _kernels.PackedTerms(
+                p.delays[:k], p.poles[:k], p.coeffs[:k, :width], p.anti[:k],
+                p.tops[:k]))
+        return out
 
 
 def eval_series(series: TimeSeriesAmplitude, t):
@@ -179,7 +212,7 @@ def eval_series(series: TimeSeriesAmplitude, t):
     if not series.terms:
         out = np.zeros_like(t_arr, dtype=complex)
     else:
-        out = _kernels.eval_terms_grid(_pack_terms(series.terms), t_arr)
+        out = _kernels.eval_terms_grid(series.packed, t_arr)
     if np.ndim(t) == 0:
         return complex(out[0])
     return out
@@ -199,7 +232,7 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     """
     if not series.terms:
         return 0.0
-    packed = _pack_terms(series.terms)
+    packed = series.packed
     kappa = -packed.poles.imag[:, None]
     k = np.arange(packed.coeffs.shape[1])
     tau = np.minimum(k / kappa, (t_f - packed.delays)[:, None])
@@ -209,15 +242,47 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
                + k * np.log(tau, out=np.zeros_like(tau), where=k > 0)
                - kappa * tau)
     size = np.array([len(tm.poly_coeffs) for tm in series.terms])
-    return float(np.finfo(float).eps * (size * np.exp(log).sum(axis=1)).sum())
+    return float(_EPS * (size * np.exp(log).sum(axis=1)).sum())
+
+
+def _top(coeffs) -> int:
+    """Index of the last non-zero coefficient, -1 if there is none."""
+    for k in range(len(coeffs) - 1, -1, -1):
+        if coeffs[k]:
+            return k
+    return -1
 
 
 def _pack_terms(terms) -> _kernels.PackedTerms:
-    delays = np.array([tm.delay for tm in terms], dtype=float)
-    poles = np.array([tm.pole + tm.carrier for tm in terms], dtype=complex)
-    anti = np.array([tm.anti_causal for tm in terms], dtype=np.bool_)
-    npoly = max(len(tm.poly_coeffs) for tm in terms)
-    coeffs = np.zeros((len(terms), npoly), dtype=complex)
-    for i, tm in enumerate(terms):
-        coeffs[i, : len(tm.poly_coeffs)] = tm.poly_coeffs
-    return _kernels.PackedTerms(delays, poles, coeffs, anti)
+    return _pack_rows([((tm.delay, tm.pole, tm.carrier, tm.anti_causal),
+                        list(tm.poly_coeffs)) for tm in terms])
+
+
+def _pack_rows(rows) -> _kernels.PackedTerms:
+    """Pack ((delay, pole, carrier, anti_causal), coefficient list) rows,
+    zero padding the coefficients to the longest row."""
+    width = max(len(c) for _, c in rows)
+    return _kernels.PackedTerms(
+        np.array([key[0] for key, _ in rows], dtype=float),
+        np.array([key[1] + key[2] for key, _ in rows], dtype=complex),
+        np.array([c + [0j] * (width - len(c)) for _, c in rows],
+                 dtype=complex),
+        np.array([key[3] for key, _ in rows], dtype=np.bool_),
+        tuple(_top(c) for _, c in rows))
+
+
+def _with_pack(series: TimeSeriesAmplitude,
+               packed: _kernels.PackedTerms) -> TimeSeriesAmplitude:
+    """Store `packed` as the series' cached pack (the instance dict is where
+    functools.cached_property keeps its value)."""
+    series.__dict__["packed"] = packed
+    return series
+
+
+def packed_series(rows, label: str = "") -> TimeSeriesAmplitude:
+    """A series from merged ((delay, pole, carrier, anti_causal),
+    coefficient list) rows, packed straight from the rows."""
+    series = TimeSeriesAmplitude(
+        tuple(DelayedTerm(d, p, tuple(c), w, a) for (d, p, w, a), c in rows),
+        label)
+    return _with_pack(series, _pack_rows(rows)) if rows else series

@@ -2,10 +2,14 @@
 
 Qubit excitation amplitudes are direct sums of finished diagram classes.
 Within one call the closed-form terms (`diagrams.class_terms`) are built
-once per distinct class function, at delay 0; each class then shifts those
-terms to its delay and scales them by its weight (its number of diagrams).
-A merged series whose a-priori rounding bound exceeds ROUNDING_TOL raises
-IllConditioned.
+once per distinct class function, at delay 0. Each class then appends
+their coefficients, times its weight (its number of diagrams), as plain
+rows of complex numbers under the key (its delay, pole, carrier,
+causality); `merge_terms` sums each key's rows in class order, and
+`core.packed_series` makes one DelayedTerm per merged row and packs the
+rows once into the arrays that every evaluation and the rounding bound
+read. A merged series whose a-priori rounding bound exceeds ROUNDING_TOL
+raises IllConditioned.
 
 The field is the qubits' emission. By the waveguide input-output relation
 (Fan, Kocabas & Shen, Phys. Rev. A 82, 063821 (2010))
@@ -27,12 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition,
-                   TimeSeriesAmplitude, rounding_bound)
+                   TimeSeriesAmplitude, packed_series, rounding_bound)
 from .diagrams import class_terms, diagram_classes, start_pulse
 from .errors import IllConditioned
 # Unused here: kept only because perfbench/tracing.py wraps these names and
@@ -41,7 +45,7 @@ from .diagrams import (enumerate_diagrams, field_terms,  # noqa: F401
                        finish_excitation)
 from .momentum import inverse_transform  # noqa: F401
 
-_PROBE_POINTS = 2001      # causality_probe's grid over the light-cone time
+_PROBE_POINTS = 2001      # causality_probes' grid over the light-cone time
 #: Largest a-priori rounding bound of an amplitude series (|e| <= 1, so the
 #: tolerance is absolute) before IllConditioned is raised.
 ROUNDING_TOL = 1e-8
@@ -62,24 +66,25 @@ class FieldProfile:
         return self.xs, self.psi_right, self.psi_left
 
 
-def merge_terms(terms) -> tuple[DelayedTerm, ...]:
-    """Combine terms sharing (delay, pole, carrier, causality) exactly by
-    summing their polynomials. Keeps series in one-term-per-front form."""
-    groups: dict[tuple, list] = {}
-    for tm in terms:
-        key = (tm.delay, tm.pole, tm.carrier, tm.anti_causal)
-        groups.setdefault(key, []).append(tm)
+def merge_terms(groups) -> list[tuple[tuple, list[complex]]]:
+    """Merge grouped coefficient rows into one row per group.
+
+    `groups` maps a (delay, pole, carrier, anti_causal) key to its rows, in
+    class order. Each group's rows are summed in that order, groups whose
+    coefficients all fall below 1e-300 are dropped, and the rest are sorted
+    by (delay, pole): one term per front, as (key, coefficients) pairs.
+    """
     out = []
-    for g in groups.values():
-        npoly = max(len(tm.poly_coeffs) for tm in g)
-        coeffs = np.zeros(npoly, dtype=complex)
-        for tm in g:
-            coeffs[: len(tm.poly_coeffs)] += tm.poly_coeffs
-        if np.all(np.abs(coeffs) < 1e-300):
+    for key, rows in groups.items():
+        acc = [0j] * max(len(row) for row in rows)
+        for row in rows:
+            for k, c in enumerate(row):
+                acc[k] += c
+        if all(abs(c) < 1e-300 for c in acc):
             continue
-        out.append(replace(g[0], poly_coeffs=tuple(coeffs)))
-    out.sort(key=lambda tm: (tm.delay, tm.pole.real, tm.pole.imag))
-    return tuple(out)
+        out.append((key, acc))
+    out.sort(key=lambda kc: (kc[0][0], kc[0][1].real, kc[0][1].imag))
+    return out
 
 
 def excitation_amplitude(cfg: ChainConfig, init: InitialCondition,
@@ -92,32 +97,54 @@ def amplitudes(cfg: ChainConfig, init: InitialCondition,
                qubits: tuple[int, ...],
                t_f: float) -> dict[int, TimeSeriesAmplitude]:
     """Excitation amplitudes of `qubits`, exact for t < t_f, from one class
-    pass: the closed-form terms are built once per distinct class function
-    (#T, #R, self-decay) at delay 0, and each class shifts them to its delay
-    and scales them by its weight.
+    pass (`_class_pass`).
 
     Raises IllConditioned if a merged series' a-priori rounding bound
     (`core.rounding_bound`) exceeds ROUNDING_TOL.
     """
-    base: dict[tuple, tuple[DelayedTerm, ...]] = {}
-    terms: dict[int, list[DelayedTerm]] = {q: [] for q in qubits}
+    out = _class_pass(cfg, init, qubits, t_f)
+    for series in out.values():
+        _check_rounding(series, t_f)
+    return out
+
+
+def _class_pass(cfg: ChainConfig, init: InitialCondition,
+                qubits: tuple[int, ...],
+                t_f: float) -> dict[int, TimeSeriesAmplitude]:
+    """The merged series of `qubits` through t_f, without the rounding check.
+
+    The closed-form terms are built once per distinct class function (#T,
+    #R, self-decay) at delay 0. Each class appends its base coefficients,
+    times its weight, as plain rows under the key (its delay, pole,
+    carrier, causality); `merge_terms` sums each key's rows and
+    `core.packed_series` packs the merged rows once.
+    """
+    base: dict[tuple, list[tuple]] = {}
+    groups: dict[int, dict[tuple, list]] = {q: {} for q in qubits}
     for c in diagram_classes(cfg, init, qubits, t_f):
         key = (c.n_t, c.n_r, c.self_decay)
         if key not in base:
-            base[key] = class_terms(cfg, init, *key)
-        terms[c.finisher.qubit].extend(
-            replace(tm, delay=c.delay, poly_coeffs=tuple(
-                np.asarray(tm.poly_coeffs) * float(c.weight)))
-            for tm in base[key])
-    out = {}
-    for q, ts in terms.items():
-        out[q] = TimeSeriesAmplitude(merge_terms(ts), label=f"e:{q}")
-        bound = rounding_bound(out[q], t_f)
-        if bound > ROUNDING_TOL:
-            raise IllConditioned(
-                f"e:{q} before t_f={t_f}: rounding bound {bound:.2g} "
-                f"exceeds {ROUNDING_TOL:g}")
-    return out
+            base[key] = [(tm.pole, tm.carrier, tm.anti_causal, tm.poly_coeffs)
+                         for tm in class_terms(cfg, init, *key)]
+        rows = groups[c.finisher.qubit]
+        # complex(w): numpy scales complex arrays by w as a complex number;
+        # a componentwise complex * float can give other signs of zero
+        w = complex(float(c.weight))
+        for pole, carrier, anti, coeffs in base[key]:
+            rows.setdefault((c.delay, pole, carrier, anti), []).append(
+                [x * w for x in coeffs])
+    return {q: packed_series(merge_terms(g), label=f"e:{q}")
+            for q, g in groups.items()}
+
+
+def _check_rounding(series: TimeSeriesAmplitude, t_f: float) -> None:
+    """Raise IllConditioned if `series` may err by more than ROUNDING_TOL
+    at some t < t_f."""
+    bound = rounding_bound(series, t_f)
+    if bound > ROUNDING_TOL:
+        raise IllConditioned(
+            f"{series.label} before t_f={t_f}: rounding bound {bound:.2g} "
+            f"exceeds {ROUNDING_TOL:g}")
 
 
 def _through(t: float) -> float:
@@ -305,9 +332,7 @@ def _norm_at(cfg: ChainConfig, init: InitialCondition, t: float,
              amps: dict[int, TimeSeriesAmplitude]) -> float:
     """The norm at time t from amplitudes exact up to a horizon >= t."""
     horizon = _through(t)
-    amps = {q: replace(amp, terms=tuple(tm for tm in amp.terms
-                                        if tm.delay < horizon))
-            for q, amp in amps.items()}
+    amps = {q: amp.before(horizon) for q, amp in amps.items()}
     if t == 0:
         # the t -> 0+ limit: at t = 0 the excited qubit's own term would
         # take Theta(0) = 1/2, while the field is still empty
@@ -326,6 +351,34 @@ def causality_probe(cfg: ChainConfig, init: InitialCondition,
     The engine result is exactly zero by term support; the probe exists so
     the same check can be pointed at numerical integrators.
     """
+    return causality_probes(cfg, init, (qubit,))[qubit]
+
+
+def causality_probes(cfg: ChainConfig, init: InitialCondition,
+                     qubits: tuple[int, ...]) -> dict[int, float]:
+    """`causality_probe` of each of `qubits`, from one class pass through
+    the largest light-cone time.
+
+    Each qubit keeps the terms below its own light-cone time, which are
+    exactly the series a pass of its own would build, and its rounding
+    bound is checked there.
+    """
+    if not qubits:
+        return {}
+    cones = {q: _light_cone(cfg, init, q) for q in qubits}
+    horizons = {q: d * (1 + 1e-12) for q, d in cones.items()}
+    series = _class_pass(cfg, init, qubits, max(horizons.values()))
+    out = {}
+    for q, d in cones.items():
+        amp = series[q].before(horizons[q])
+        _check_rounding(amp, horizons[q])
+        ts = np.linspace(0.0, d, _PROBE_POINTS)[1:-1]
+        out[q] = float(np.max(np.abs(amp(ts)))) if len(ts) else 0.0
+    return out
+
+
+def _light_cone(cfg: ChainConfig, init: InitialCondition, qubit: int) -> float:
+    """Distance from the excitation source to `qubit`."""
     xq = cfg.positions[qubit]
     if init.kind == "excited_qubit":
         d = abs(xq - cfg.positions[init.qubit])
@@ -334,6 +387,4 @@ def causality_probe(cfg: ChainConfig, init: InitialCondition,
         d = abs(xq - state.position)
     if d <= 0:
         raise ValueError("probe qubit coincides with the excitation source")
-    amp = excitation_amplitude(cfg, init, qubit, d * (1 + 1e-12))
-    ts = np.linspace(0.0, d, _PROBE_POINTS)[1:-1]
-    return float(np.max(np.abs(amp(ts)))) if len(ts) else 0.0
+    return d

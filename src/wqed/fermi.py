@@ -117,27 +117,10 @@ def fermi_full_state(t, x, j0, omega, L):
     half = L / 2.0
     rt = math.sqrt(j0)
 
-    inside = _window(x, -half, half)
+    psi_ri, psi_li = _internal_field(t, x, j0, omega, L)
     right_out = _window(x, half, np.inf)
     left_out = _window(x, -np.inf, -half)
-
-    tmax = float(np.max(t))
-    nmax = max(1, math.ceil(tmax / (2 * L)) + 1)
-    shape = np.broadcast(t, x).shape
-
-    # internal right-mover: n full round trips, then -L/2 -> x
-    acc = np.zeros(shape, dtype=complex)
-    for n in range(nmax + 1):
-        tau = t - 2 * n * L - (x + half)
-        acc = acc + _power_ratio(j0 * tau, 2 * n) * _decay(tau, j0, omega)
-    psi_ri = -1j * rt * inside * acc
-
-    # internal left-mover: odd number of crossings, reflected at +L/2
-    acc = np.zeros(shape, dtype=complex)
-    for n in range(nmax + 1):
-        tau = t - (2 * n + 1) * L + (x - half)
-        acc = acc + _power_ratio(j0 * tau, 2 * n + 1) * _decay(tau, j0, omega)
-    psi_li = 1j * rt * inside * acc
+    nmax, shape = _round_trips(t, L), np.broadcast(t, x).shape
 
     # external right-mover past +L/2: transmitted through qubit +1
     acc = np.zeros(shape, dtype=complex)
@@ -169,6 +152,37 @@ def fermi_full_state(t, x, j0, omega, L):
         "psi_Li": psi_li,
         "psi_Le": psi_le,
     }
+
+
+def _round_trips(t, L) -> int:
+    """Round trips summed by the field series up to the largest time in t."""
+    return max(1, math.ceil(float(np.max(t)) / (2 * L)) + 1)
+
+
+def _internal_field(t, x, j0, omega, L):
+    """(psi_Ri, psi_Li): the field between the qubits, window included, as
+    in `fermi_full_state`."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    half = L / 2.0
+    rt = math.sqrt(j0)
+    inside = _window(x, -half, half)
+    nmax, shape = _round_trips(t, L), np.broadcast(t, x).shape
+
+    # internal right-mover: n full round trips, then -L/2 -> x
+    acc = np.zeros(shape, dtype=complex)
+    for n in range(nmax + 1):
+        tau = t - 2 * n * L - (x + half)
+        acc = acc + _power_ratio(j0 * tau, 2 * n) * _decay(tau, j0, omega)
+    psi_ri = -1j * rt * inside * acc
+
+    # internal left-mover: odd number of crossings, reflected at +L/2
+    acc = np.zeros(shape, dtype=complex)
+    for n in range(nmax + 1):
+        tau = t - (2 * n + 1) * L + (x - half)
+        acc = acc + _power_ratio(j0 * tau, 2 * n + 1) * _decay(tau, j0, omega)
+    psi_li = 1j * rt * inside * acc
+    return psi_ri, psi_li
 
 
 def _window(x, lo, hi):

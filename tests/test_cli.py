@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wqed import cli, diagrams, evaluator, momentum
+from wqed import cli, diagrams, evaluator, fermi, momentum
 
 
 def _write_config(tmp_path, **overrides):
@@ -333,6 +333,15 @@ def test_check_causality_passes(tmp_path, capsys):
     assert report["max_inside_cone"] == 0.0
 
 
+def test_check_causality_single_excited_qubit_probes_nothing(tmp_path,
+                                                             capsys):
+    conf = _write_config(tmp_path, chain={"n": 1, "omega": 3.7, "j0": 1,
+                                          "separation": 0})
+    assert cli.main(["check", "--what", "causality", conf]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "pass": True, "max_inside_cone": 0.0, "details": {}}
+
+
 def test_check_no_uhp_passes(tmp_path, capsys):
     conf = _write_config(tmp_path)
     rc = cli.main(["check", "--what", "no-uhp", conf])
@@ -390,6 +399,27 @@ def test_check_makes_one_class_pass(tmp_path, capsys, monkeypatch, what):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("n, initial", [
+    (3, {"kind": "excited_qubit", "qubit": 0}),
+    (4, {"kind": "pulse", "sigma": 0.7, "x0": 0.5, "direction": "left"})])
+def test_check_causality_makes_one_class_pass(tmp_path, capsys, monkeypatch,
+                                              n, initial):
+    conf = _write_config(tmp_path, chain={"n": n, "omega": 3.7, "j0": 1,
+                                          "separation": 1}, horizon=6.0,
+                         initial=initial)
+    # the report as one probe, and one class pass, per qubit prints it
+    cfg, init, _, _ = cli.load_config(conf)
+    details = {f"e:{q}": evaluator.causality_probe(cfg, init, q)
+               for q in range(n) if q != initial.get("qubit")}
+    worst = max((0.0, *details.values()))
+    want = json.dumps({"pass": worst == 0.0, "max_inside_cone": worst,
+                       "details": details}, indent=2, default=str) + "\n"
+    calls = _count_class_passes(monkeypatch)
+    assert cli.main(["check", "--what", "causality", conf]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == want
+
+
 def test_simulate_makes_one_class_pass(tmp_path, monkeypatch):
     conf = _write_config(tmp_path, chain={"n": 3, "omega": 3.7, "j0": 1,
                                           "separation": 1}, horizon=6.0)
@@ -434,6 +464,24 @@ def test_fermi_demo_outputs(tmp_path):
     assert data.shape == (2001, 5)
     # no re-excitation before the first round trip reaches the partner
     assert np.all(data[data[:, 0] < 2.0, 3] == 0.0)
+
+
+@pytest.mark.parametrize("L", ["5", "2", "0.3"])
+def test_fermi_demo_snapshots_are_the_full_state_fields(tmp_path, L):
+    out = tmp_path / "demo"
+    assert cli.main(["fermi-demo", "--L", L, "--omega", "37.5",
+                     "--out", str(out)]) == 0
+    sep = float(L)
+    xs = np.linspace(-sep / 2, sep / 2, 401)
+    for t_snap in (0.5 * sep, 1.5 * sep, 2.5 * sep):
+        state = fermi.fermi_full_state(t_snap, xs, 1.0, 37.5, sep)
+        want = tmp_path / "want.csv"
+        cli.write_csv(str(want),
+                      ["x", "psi_Ri.re", "psi_Ri.im", "psi_Li.re", "psi_Li.im"],
+                      [xs, state["psi_Ri"].real, state["psi_Ri"].imag,
+                       state["psi_Li"].real, state["psi_Li"].imag])
+        got = out / f"field_L{L}_t{t_snap:g}.csv"
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_fermi_demo_bad_separation_exits_2(tmp_path):

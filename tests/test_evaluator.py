@@ -1,12 +1,16 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wqed.core import ChainConfig, InitialCondition, PulseSpec
+from wqed.core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
+                       TimeSeriesAmplitude, rounding_bound)
+from wqed.diagrams import class_terms, diagram_classes
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
-from wqed import evaluator, fermi, momentum, oracle
+from wqed import _kernels, core, evaluator, fermi, momentum, oracle
 from wqed.errors import HorizonTooLarge, IllConditioned
 
 J0 = 1.0
@@ -338,3 +342,196 @@ def test_schrodinger_residual(cfg, excited):
 def test_probe_requires_distinct_source(cfg, excited):
     with pytest.raises(ValueError):
         causality_probe(cfg, excited, 0)
+
+
+# ---------------------------------------------------------------------------
+# The class pass from rows, against the class pass built from term objects
+# ---------------------------------------------------------------------------
+
+def _reference_merge(terms):
+    """Merging as it was done on DelayedTerm objects: numpy sums per exact
+    (delay, pole, carrier, causality) key, in input order, the 1e-300
+    all-zero drop and the (delay, pole) sort."""
+    groups = {}
+    for tm in terms:
+        key = (tm.delay, tm.pole, tm.carrier, tm.anti_causal)
+        groups.setdefault(key, []).append(tm)
+    out = []
+    for g in groups.values():
+        coeffs = np.zeros(max(len(tm.poly_coeffs) for tm in g), dtype=complex)
+        for tm in g:
+            coeffs[: len(tm.poly_coeffs)] += tm.poly_coeffs
+        if not np.all(np.abs(coeffs) < 1e-300):
+            out.append(replace(g[0], poly_coeffs=tuple(coeffs)))
+    out.sort(key=lambda tm: (tm.delay, tm.pole.real, tm.pole.imag))
+    return tuple(out)
+
+
+def _reference_series(cfg, init, qubits, t_f):
+    """The class pass with each class's terms `replace`d to its delay and
+    scaled by float(weight) as numpy arrays, then `_reference_merge`d."""
+    base, terms = {}, {q: [] for q in qubits}
+    for c in diagram_classes(cfg, init, qubits, t_f):
+        key = (c.n_t, c.n_r, c.self_decay)
+        if key not in base:
+            base[key] = class_terms(cfg, init, *key)
+        terms[c.finisher.qubit].extend(
+            replace(tm, delay=c.delay, poly_coeffs=tuple(
+                np.asarray(tm.poly_coeffs) * float(c.weight)))
+            for tm in base[key])
+    return {q: TimeSeriesAmplitude(_reference_merge(ts), label=f"e:{q}")
+            for q, ts in terms.items()}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.int64)
+
+
+def _assert_same_terms(got, want):
+    """Term for term and bit for bit, pack included."""
+    assert len(got.terms) == len(want.terms)
+    for g, w in zip(got.terms, want.terms):
+        assert ((g.delay, g.pole, g.carrier, g.anti_causal)
+                == (w.delay, w.pole, w.carrier, w.anti_causal))
+        assert np.array_equal(_bits(g.poly_coeffs), _bits(w.poly_coeffs))
+    if want.terms:
+        gp, wp = got.packed, core._pack_terms(want.terms)
+        assert np.array_equal(gp.delays, wp.delays)
+        assert np.array_equal(_bits(gp.poles), _bits(wp.poles))
+        assert np.array_equal(_bits(gp.coeffs), _bits(wp.coeffs))
+        assert np.array_equal(gp.anti, wp.anti)
+        assert gp.tops == wp.tops
+
+
+_eighths = st.integers(1, 16).map(lambda k: k / 8)
+
+
+@st.composite
+def _class_pass_cases(draw):
+    """A chain of n <= 5 with rational gaps, an excited or pulse start (sigma
+    at least 0.05 away from J0) and a horizon of up to 8 shortest gaps."""
+    n = draw(st.integers(1, 5))
+    gaps = draw(st.lists(_eighths, min_size=n - 1, max_size=n - 1))
+    positions = tuple(float(x) for x in np.cumsum([0.0] + gaps))
+    cfg = ChainConfig(n, draw(st.sampled_from([4.0, 37.5])), J0, 0.0,
+                      positions=positions)
+    if draw(st.booleans()):
+        init = InitialCondition.excited(draw(st.integers(0, n - 1)))
+    else:
+        sigma = draw(st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 5.0)))
+        init = InitialCondition.incident(PulseSpec(
+            sigma, draw(_eighths), draw(st.sampled_from(["right", "left"]))))
+    t_f = draw(st.integers(1, 64)) / 8 * min(gaps, default=1.0)
+    return cfg, init, t_f
+
+
+def _pulse_case(n, sigma, t_f):
+    return (ChainConfig(n, 4.0, J0, 1.0),
+            InitialCondition.incident(PulseSpec(sigma, 0.5, "right")), t_f)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_class_pass_cases())
+# refused (rounding bounds 2.5e6, 2.2e-8 and 1.5e-8), then sigma == J0
+@example(_pulse_case(2, 1.001, 8.0))
+@example(_pulse_case(2, 0.9, 8.0))
+@example(_pulse_case(4, 1.1, 6.0))
+@example(_pulse_case(3, 1.0, 6.0))
+def test_class_pass_matches_term_objects(case):
+    cfg, init, t_f = case
+    qubits = tuple(range(cfg.num_qubits))
+    want = _reference_series(cfg, init, qubits, t_f)
+    refused = any(rounding_bound(amp, t_f) > evaluator.ROUNDING_TOL
+                  for amp in want.values())
+    try:
+        got = evaluator.amplitudes(cfg, init, qubits, t_f)
+    except IllConditioned:
+        assert refused
+        return
+    assert not refused
+    for q in qubits:
+        _assert_same_terms(got[q], want[q])
+
+
+def test_merge_terms_sums_in_order_drops_zeros_and_sorts():
+    rng = np.random.default_rng(5)
+    pole_a, pole_b = -1j, 0.5 - 2j
+    keys = [(2.0, pole_a, 4.0, False), (1.0, pole_b, 4.0, False),
+            (1.0, pole_a, 4.0, False), (0.5, pole_a, 4.0, True)]
+    rows = [[complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-8, 8)
+             for _ in range(rng.integers(1, 5))] for _ in range(9)]
+    # key 3's two rows cancel exactly, so its merged row is dropped
+    rows[7], rows[8] = [1e-3 + 2j, 0j], [-1e-3 - 2j]
+    owner = [0, 1, 2, 0, 1, 2, 0, 3, 3]
+    groups, terms = {}, []
+    for key, row in zip((keys[i] for i in owner), rows):
+        groups.setdefault(key, []).append(row)
+        terms.append(DelayedTerm(key[0], key[1], tuple(row), key[2], key[3]))
+    got = core.packed_series(evaluator.merge_terms(groups))
+    want = TimeSeriesAmplitude(_reference_merge(terms))
+    assert len(want.terms) == 3
+    _assert_same_terms(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Each engine series is packed once
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def pack_counts(monkeypatch):
+    """Counts of core._pack_terms calls and of PackedTerms constructions."""
+    counts = {"pack_terms": 0, "packed": []}
+    pack_terms = core._pack_terms
+
+    def counted_pack_terms(terms):
+        counts["pack_terms"] += 1
+        return pack_terms(terms)
+
+    @dataclass(frozen=True)
+    class CountedPackedTerms(_kernels.PackedTerms):
+        def __post_init__(self):
+            counts["packed"].append(self)
+
+    monkeypatch.setattr(core, "_pack_terms", counted_pack_terms)
+    monkeypatch.setattr(_kernels, "PackedTerms", CountedPackedTerms)
+    return counts
+
+
+def test_amplitude_series_are_packed_once(pack_counts):
+    cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
+    for init in (InitialCondition.excited(0),
+                 InitialCondition.incident(PulseSpec(0.6, 0.5, "left"))):
+        pack_counts["packed"].clear()
+        amps = evaluator.amplitudes(cfg3, init, (0, 1, 2), 6.0)
+        ts = np.linspace(0.0, 6.0, 97)
+        for amp in amps.values():
+            amp(ts)
+            amp(2.5)
+            rounding_bound(amp, 6.0)
+        assert all(amp.terms for amp in amps.values())
+        assert ({id(p) for p in pack_counts["packed"]}
+                == {id(amp.packed) for amp in amps.values()})
+        assert len(pack_counts["packed"]) == 3
+    assert pack_counts["pack_terms"] == 0
+
+
+def test_norm_times_reuse_the_engine_packs(pack_counts):
+    cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
+    norms = total_norm(cfg3, InitialCondition.excited(1),
+                       np.linspace(0.5, 5.0, 5))
+    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+    assert pack_counts["pack_terms"] == 0
+
+
+def test_before_keeps_the_prefix_and_slices_the_pack(cfg, excited):
+    amp = excitation_amplitude(cfg, excited, 1, 8 * L)
+    for horizon in (0.5 * L, L, 1.5 * L, 3 * L + 1e-9, 8 * L):
+        cut = amp.before(horizon)
+        want = TimeSeriesAmplitude(
+            tuple(tm for tm in amp.terms if tm.delay < horizon), amp.label)
+        assert cut == want
+        _assert_same_terms(cut, want)
+    assert amp.before(8 * L) is amp
+    unsorted = TimeSeriesAmplitude(amp.terms[::-1])
+    with pytest.raises(ValueError):
+        unsorted.before(2 * L)
