@@ -1,7 +1,12 @@
 """Hot numeric kernels, numpy only.
 
-* ``eval_terms_grid`` sums a packed closed-form term list on a time grid,
-  one array pass per term over the points where it is switched on.
+* ``eval_terms_grid`` sums a packed closed-form term list on a time grid in
+  one sweep over the sorted grid. The grid is cut into blocks short enough
+  for exp(+-kappa (block span)) to stay in float64's range, and each block's
+  first point is the base b shared by all terms. Terms with the same rate r
+  share one complex exponential exp(r (t - b)) per grid point; each term
+  adds its Horner polynomial, times one scalar exp(r (b - d)), on its
+  support. Anti-causal terms take the same sweep on the reflected grid -t.
 * ``dde_rk4`` integrates the delayed qubit-amplitude equations with RK4 and
   the method of steps, one block of steps at a time. A block is never longer
   than the shortest cross-qubit delay, so every delayed value it reads is
@@ -13,6 +18,7 @@
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,30 +39,122 @@ class PackedTerms:
 # Series evaluation over a time grid
 # ---------------------------------------------------------------------------
 
-def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
-    """Evaluate a packed term list on a time grid; returns complex array.
+#: Bound on kappa_max * (block span): for every term switched on in a block,
+#: exp(r (b - d)) and exp(r (t - b)) stay within e^(+-600), clear of
+#: float64's range e^(+-708), with room for the polynomial.
+_BLOCK_EXPONENT = 600.0
 
-    Each term is evaluated only on its support (tau >= 0, or tau <= 0 for an
-    anti-causal term), where Theta is 1 or 1/2 at tau = 0, and its Horner
-    loop starts at its last non-zero coefficient: off the support a term is
-    exactly 0, and exp(kappa |tau|) could overflow there.
+
+def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
+    """Evaluate a packed term list on a 1-D time grid; returns complex array.
+
+    The grid is swept in sorted order: a non-decreasing grid as it is, a
+    non-increasing one as its reversed view, any other through a stable
+    argsort (NaNs last), so the result is bitwise the same whatever the
+    order of the points. A NaN time gives NaN.
+
+    The sorted grid is cut into blocks with kappa_max * (block span) <= 600,
+    kappa_max the largest |Re r| of the list; a block's base b is its first
+    point, and every term shares the cuts and bases. Terms are grouped by
+    their rate r: per group and block, each term adds its Horner polynomial
+    on its support, times one scalar exp(r (b - d)), into an accumulator,
+    which is then multiplied once by exp(r (t - b)). Points exactly at a
+    delay get Theta = 1/2; points before a group's first delay are never
+    written, so off every support the result is exactly 0. Anti-causal
+    terms take the same sweep on the reflected grid u = -t, as causal terms
+    at delay -d with coefficients (-1)^m c_m and rate -r. A growing term
+    whose exponential leaves float64's range raises OverflowError.
     """
-    out = np.zeros(t.shape[0], dtype=complex)
-    for i, top in enumerate(packed.tops):
+    n = t.shape[0]
+    res = np.zeros(n, dtype=complex)
+    # a NaN fails both order checks; the argsort puts NaNs last
+    if n == 0 or t[0] <= t[-1] and (t[1:] >= t[:-1]).all():
+        order = slice(None)
+    elif t[-1] <= t[0] and (t[1:] <= t[:-1]).all():
+        order = slice(None, None, -1)
+    else:
+        order = np.argsort(t, kind="stable")
+    v = t[order]
+    if isinstance(order, slice):
+        m, out = n, res[order]
+    else:
+        m, out = int(v.searchsorted(np.nan)), np.zeros(n, dtype=complex)
+        out[m:] = complex(np.nan, np.nan)
+    v, valid = v[:m], out[:m]
+
+    lo = v.searchsorted(packed.delays, "left").tolist()
+    hi = v.searchsorted(packed.delays, "right").tolist()
+    causal, anti, kappa = [], [], 0.0
+    for d, p, row, top, a, l, h in zip(
+            packed.delays.tolist(), packed.poles.tolist(),
+            packed.coeffs.tolist(), packed.tops, packed.anti.tolist(), lo, hi):
         if top < 0:
             continue
-        tau = t - packed.delays[i]
-        # the support, and any NaN time, which then gives NaN
-        on = ~(tau > 0) if packed.anti[i] else ~(tau < 0)
-        tau = tau[on]
-        if not tau.size:
-            continue
-        poly = packed.coeffs[i, top]
-        for c in packed.coeffs[i, :top][::-1]:
-            poly = poly * tau + c
-        out[on] += (np.where(tau == 0, 0.5, 1.0) * poly
-                    * np.exp(-1j * packed.poles[i] * tau))
-    return out
+        r = complex(p.imag, -p.real)  # -i (pole + carrier)
+        kappa = max(kappa, abs(r.real))
+        if a:
+            # u = -t: the support t <= d is u >= -d, from m - h on the
+            # ascending grid of u
+            anti.append((-d, -r, [-c if i % 2 else c
+                                  for i, c in enumerate(row[:top + 1])],
+                         m - h, m - l))
+        else:
+            causal.append((d, r, row[:top + 1], l, h))
+    if causal:
+        _sweep(v, valid, causal, kappa)
+    if anti:
+        _sweep(-v[::-1], valid[::-1], anti, kappa)
+    if not isinstance(order, slice):
+        res[order] = out
+    return res
+
+
+def _sweep(v, out, terms, kappa):
+    """Add causal terms (delay, rate, coefficients, lo, hi) into `out` on the
+    sorted grid `v`: a term's support is v[lo:], and v[lo:hi] its delay."""
+    if not v.size:
+        return
+    cuts = [0]
+    if kappa > 0:
+        width = _BLOCK_EXPONENT / kappa
+        while v[-1] > (edge := v[cuts[-1]] + width):
+            cuts.append(int(v.searchsorted(edge, "right")))
+    cuts.append(v.size)
+    groups = {}
+    for tm in terms:
+        groups.setdefault(tm[1], []).append(tm)
+
+    for a, z in zip(cuts, cuts[1:]):
+        b = float(v[a])
+        for r, group in groups.items():
+            first = max(a, min(tm[3] for tm in group))
+            if first >= z:
+                continue
+            acc = np.zeros(z - first, dtype=complex)
+            for d, _, row, lo, hi in group:
+                if lo >= z:
+                    continue
+                scale = cmath.exp(r * (b - d))
+                top = len(row) - 1
+                st, sp = max(lo, first) - first, max(hi, first) - first
+                if sp > st:
+                    # Theta = 1/2 exactly at the delay, where P = c_0
+                    acc[st:sp] += 0.5 * row[0] * scale
+                if top:
+                    # Horner, in place after the first step
+                    tau = v[first + sp:z] - d
+                    poly = tau * row[top]
+                    poly += row[top - 1]
+                    for c in reversed(row[:top - 1]):
+                        poly *= tau
+                        poly += c
+                    poly *= scale
+                else:
+                    poly = row[0] * scale
+                acc[sp:] += poly
+            e = r * (v[first:z] - b)
+            acc *= np.exp(e, out=e)
+            out[first:z] += acc
 
 
 # ---------------------------------------------------------------------------

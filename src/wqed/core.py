@@ -207,15 +207,15 @@ class TimeSeriesAmplitude:
 
 
 def eval_series(series: TimeSeriesAmplitude, t):
-    """Sum of eval_term over all terms; 0 for the empty series."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    """Sum of eval_term over all terms, in the shape of t; 0 for the empty
+    series."""
+    t_arr = np.asarray(t, dtype=float)
     if not series.terms:
-        out = np.zeros_like(t_arr, dtype=complex)
+        out = np.zeros(t_arr.shape, dtype=complex)
     else:
-        out = _kernels.eval_terms_grid(series.packed, t_arr)
-    if np.ndim(t) == 0:
-        return complex(out[0])
-    return out
+        out = _kernels.eval_terms_grid(series.packed,
+                                       t_arr.ravel()).reshape(t_arr.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
@@ -229,6 +229,24 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     the term's support. The bound sums that over the (causal) terms; it
     sees the cancellation inside a polynomial and between terms, which the
     sum of |term(t)| does not.
+
+    What it covers under the grid sweep of `_kernels.eval_terms_grid`:
+
+    * the per-term Horner rounding, unchanged: the sweep runs the same
+      Horner steps on the same tau = t - delay;
+    * not the sweep's two scale-factor roundings per term, the scalar
+      exp(r (b - delay)) and its product with the polynomial, each a few
+      eps of the term;
+    * nor those of the shared bases b: exp(r (t - b)), its product with a
+      rate group's sum, and the exponents, rounded to about
+      eps |r| (|b - delay| + |t - b|) of each term.
+
+    For terms of size <= 1 those add up to about eps |r| t_f: 7e-14 for
+    n = 2, J0 = 5, Omega = 200 at 150 L, above that series' bound of 4.3e-14
+    but far below ROUNDING_TOL. Where cancellation makes the terms large,
+    at the envelope's edges, the error stays below the bound: 4.4e-9
+    against a 50-digit evaluation where the bound is 7.6e-9
+    (tests/test_evaluator.py).
     """
     if not series.terms:
         return 0.0

@@ -91,6 +91,21 @@ def test_eval_series_matches_term_sum():
     assert isinstance(series(1.3), complex)
 
 
+@pytest.mark.parametrize("t", [np.linspace(-1.0, 4.0, 6).reshape(2, 3),
+                               np.zeros((0,)), np.zeros((2, 0))],
+                         ids=["2-d", "empty", "empty-2-d"])
+@pytest.mark.parametrize("terms", [
+    (DelayedTerm(0.0, -1j, (1.0,), 2.0),
+     DelayedTerm(1.5, -2j, (0.5, -0.25j, 1.0), 2.0),
+     DelayedTerm(0.5, 1j, (1.0,), 0.0, anti_causal=True)),
+    ()], ids=["terms", "no-terms"])
+def test_eval_series_keeps_the_grid_shape(t, terms):
+    got = TimeSeriesAmplitude(terms)(t)
+    want = sum((eval_term(tm, t) for tm in terms), np.zeros(t.shape, complex))
+    assert got.shape == t.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 def test_support_start():
     series = TimeSeriesAmplitude((
         DelayedTerm(2.0, -1j, (1.0,), 0.0),

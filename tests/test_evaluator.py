@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -35,6 +36,23 @@ def test_excitation_matches_two_qubit_series(cfg, excited):
     np.testing.assert_allclose(e1, fermi.fermi_e1(ts, J0, OMEGA, L), atol=1e-12)
     np.testing.assert_allclose(e0, fermi.fermi_em1(ts, J0, OMEGA, L), atol=1e-12)
 
+
+
+@pytest.mark.parametrize("omega", [10.0, 200.0])
+def test_series_past_the_range_of_exp(omega):
+    """J0 t_f = 750 at 150 L: exp(-J0 t) underflows past t = 149 and
+    exp(+J0 t) overflows, so the kernel must rebase its exponentials along
+    the grid; the 75-term series still matches the two-qubit formulas."""
+    cfg2 = ChainConfig.fermi_pair(5.0, omega, 1.0)
+    amps = evaluator.amplitudes(cfg2, InitialCondition.excited(0), (0, 1),
+                                150.0)
+    assert len(amps[1].terms) == 75
+    ts = np.linspace(0.0, 150.0, 3001)[1:-1]
+    np.testing.assert_allclose(amps[1](ts), fermi.fermi_e1(ts, 5.0, omega, 1.0),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(amps[0](ts),
+                               fermi.fermi_em1(ts, 5.0, omega, 1.0),
+                               rtol=0, atol=1e-13)
 
 def test_pole_order_past_171_is_a_typed_error():
     """At 170 L every residue coefficient 1/(k-1)! is a float64 and the
@@ -226,11 +244,61 @@ def test_closed_form_answers_former_false_alarms(n, sigma, t_f):
 @pytest.mark.parametrize("n, sigma, t_f", [(2, 1.001, 8.0),
                                            (20, None, 60.0)])
 def test_rounding_bound_refuses_lost_digits(n, sigma, t_f):
-    """Cancellation loses these answers (off the oracle by 2.9e2 and 0.73
+    """Cancellation loses these answers (off the oracle by 1.5e3 and 0.73
     with the bound ignored); the a-priori rounding bound refuses them."""
     cfg_n, init = _chain_start(n, sigma)
     with pytest.raises(IllConditioned):
         excitation_amplitude(cfg_n, init, n - 1, t_f)
+
+
+def _exact_series(series, ts):
+    """A merged series at the times ts, stdlib only: at each delay, the
+    terms' polynomials times exp(-kappa tau) summed in 50-digit decimal,
+    then times the float phase exp(-i W tau). Engine poles are purely
+    imaginary, -i kappa, so that phase is common to a delay's terms."""
+    groups = {}
+    for tm in series.terms:
+        assert tm.pole.real == 0 and not tm.anti_causal
+        groups.setdefault((tm.delay, tm.carrier), []).append(
+            (Decimal(-tm.pole.imag),
+             [(Decimal(c.real), Decimal(c.imag)) for c in tm.poly_coeffs]))
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for t in ts:
+            total = 0j
+            for (delay, carrier), terms in groups.items():
+                tau = Decimal(t) - Decimal(delay)
+                if tau < 0:
+                    continue
+                re = im = Decimal(0)
+                for kappa, coeffs in terms:
+                    pre = pim = Decimal(0)
+                    for cre, cim in reversed(coeffs):
+                        pre, pim = pre * tau + cre, pim * tau + cim
+                    damp = (-kappa * tau).exp()
+                    re, im = re + pre * damp, im + pim * damp
+                w = carrier * (t - delay)
+                total += ((0.5 if tau == 0 else 1.0) * complex(float(re), float(im))
+                          * complex(math.cos(w), -math.sin(w)))
+            out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("omega", [1.0, 200.0])
+@pytest.mark.parametrize("n, start, t_f", [
+    (2, InitialCondition.incident(PulseSpec(1.0055, 0.125, "right")), 3.0),
+    (8, InitialCondition.excited(3), 25.0),
+    (3, InitialCondition.excited(1), 49.0)], ids=["pulse", "n8", "n3"])
+def test_rounding_bound_covers_the_kernel(n, start, t_f, omega):
+    """At the edge of the envelope (bounds up to 7.6e-9) every series
+    evaluates within its a-priori bound of an exact evaluation."""
+    amps = evaluator.amplitudes(ChainConfig(n, omega, 1.0, 1.0), start,
+                                tuple(range(n)), t_f)
+    ts = np.linspace(0.0, t_f, 241)[1:-1]
+    for amp in amps.values():
+        err = np.max(np.abs(amp(ts) - _exact_series(amp, ts)))
+        assert err < rounding_bound(amp, t_f)
 
 
 @pytest.mark.parametrize("init", [

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed import _kernels
 from wqed.core import DelayedTerm, _pack_terms, eval_term
+
+_EPS = np.finfo(float).eps
+_TINY = 2.0 ** -1074
 
 
 def _random_terms(rng, n=8):
@@ -19,10 +25,10 @@ def _random_terms(rng, n=8):
     return tuple(terms)
 
 
-# eval_terms_grid before it skipped each term's off-support points and its
-# zero-padded top coefficients: every term over the whole grid, Theta from
-# sign(tau), Horner over all padded coefficients. The kernel must agree with
-# it bit for bit.
+# eval_terms_grid as a plain loop: every term over the whole grid, Theta
+# from sign(tau), Horner over all padded coefficients and one exponential
+# per term and point. The sweep multiplies in another order, so the kernel
+# agrees with it within `_agreement_bound`.
 def _padded_reference(packed, t):
     out = np.zeros(t.shape[0], dtype=complex)
     for i in range(packed.delays.shape[0]):
@@ -38,6 +44,51 @@ def _padded_reference(packed, t):
             poly = poly * tau + c
         out += theta * poly * np.exp(-1j * packed.poles[i] * tau)
     return out
+
+
+def _one(packed, i, poles=None):
+    """Term i of `packed` alone, with its poles replaced if given."""
+    return _kernels.PackedTerms(
+        packed.delays[i:i + 1],
+        packed.poles[i:i + 1] if poles is None else poles,
+        packed.coeffs[i:i + 1], packed.anti[i:i + 1], packed.tops[i:i + 1])
+
+
+def _agreement_bound(packed, t):
+    """Pointwise bound on |eval_terms_grid - _padded_reference|.
+
+    Both form the same tau = fl(t - d) and run the same Horner steps on it,
+    so the polynomial's own rounding cancels. With u = eps/2, n terms, and
+    relative to each |term_i(t)|, what differs is
+      * the exponent: the reference rounds r tau once, u |r| |tau|; the
+        sweep rounds b - d, r (b - d), t - b and r (t - b), at most
+        2u |r| (|b - d| + |t - b|), and |b - d| + |t - b| is |tau| when
+        d <= b and at most 2G when b < d <= t (G the grid's span): together
+        at most u |r| (3 |tau| + 4G) <= eps |r| (2 |tau| + 2G);
+      * the exponentials: one in the reference, two in the sweep, each
+        within 4u (exp, cos, sin and their product): 12u;
+      * the complex products (within sqrt(5) u each): theta P * exp in the
+        reference, P * exp(r (b - d)) and the group sum * exp(r (t - b))
+        in the sweep: 3 sqrt(5) u < 7u;
+      * the sums: each kernel adds at most n + 1 values, each addition
+        within u of the sum of |term_i|: 2 (n + 1) u.
+    That is below eps (n + 11 + 2 |r| (|tau| + G)) times |term_i(t)|. An
+    exponential or product in the subnormal range is only exact to 2^-1074,
+    scaled by at most |theta P_i| (every factor after it is <= 1 for a
+    decaying term): four of those per term.
+    """
+    finite = t[np.isfinite(t)]
+    span = float(np.ptp(finite)) if finite.size else 0.0
+    n = len(packed.tops)
+    bound = np.zeros(t.shape)
+    for i in range(n):
+        term = np.abs(_padded_reference(_one(packed, i), t))
+        poly = np.abs(_padded_reference(_one(packed, i, np.zeros(1)), t))
+        rate = abs(packed.poles[i])
+        tau = np.abs(t - packed.delays[i])
+        bound += (_EPS * (n + 11 + 2 * rate * (tau + span)) * term
+                  + 4 * _TINY * poly)
+    return bound
 
 
 def test_grid_eval_matches_term_sum():
@@ -65,7 +116,8 @@ def test_grid_eval_matches_term_sum():
     assert np.array_equal(np.isfinite(got), np.isfinite(t))
     np.testing.assert_allclose(got, want, atol=1e-12)
     ref = _padded_reference(packed, t)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    on = np.isfinite(t)
+    assert np.all(np.abs(got - ref)[on] <= _agreement_bound(packed, t)[on])
 
 
 @pytest.mark.parametrize("anti", [False, True])
@@ -79,6 +131,63 @@ def test_far_off_support_is_exactly_zero(anti):
     assert np.all(eval_term(tm, t) == 0)
 
 
+@st.composite
+def _sweep_cases(draw):
+    """Decaying terms (degrees 0-24, delays from a pool of three, both
+    causalities, kappa_max * span up to 2000) and a grid with duplicates,
+    points exactly on the delays and NaNs, in a random order.
+
+    Coefficients are scaled as the engine's are, |c_m| <= kappa^m / m!, so
+    each monomial times exp(-kappa |tau|) stays below 1 on the support.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t0 = draw(st.floats(-20.0, 20.0))
+    span = draw(st.floats(0.5, 50.0))
+    kappa_max = draw(st.floats(0.0, 2000.0)) / span
+    pool = t0 + span * rng.uniform(-0.2, 1.2, 3)
+    terms = []
+    for i in range(draw(st.integers(1, 6))):
+        kappa = kappa_max if i == 0 else kappa_max * rng.uniform()
+        omega, carrier = rng.uniform(-50.0, 50.0), rng.uniform(0.0, 200.0)
+        anti = draw(st.booleans())
+        coeffs = tuple(
+            complex(*rng.uniform(-1.0, 1.0, 2)) * kappa**m / math.factorial(m)
+            for m in range(draw(st.integers(0, 24)) + 1))
+        terms.append(DelayedTerm(
+            float(rng.choice(pool)), complex(omega - carrier,
+                                             kappa if anti else -kappa),
+            coeffs, carrier, anti_causal=anti))
+    t = np.concatenate([[t0, t0 + span],
+                        t0 + span * rng.uniform(0.0, 1.0, draw(st.integers(0, 40))),
+                        rng.choice(pool, draw(st.integers(0, 4))),
+                        [np.nan] * draw(st.integers(0, 2))])
+    t = np.concatenate([t, rng.choice(t, draw(st.integers(0, 3)))])
+    return tuple(terms), rng.permutation(t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sweep_cases())
+def test_sweep_properties(case):
+    terms, t = case
+    packed = _pack_terms(terms)
+    got = _kernels.eval_terms_grid(packed, t)
+    # NaN in, NaN out; finite elsewhere
+    assert np.array_equal(np.isnan(got), np.isnan(t))
+    assert np.all(np.isfinite(got[~np.isnan(t)]))
+    # agreement with the plain loop
+    on = ~np.isnan(t)
+    err = np.abs(got - _padded_reference(packed, t))[on]
+    assert np.all(err <= _agreement_bound(packed, t)[on])
+    # the same bits whatever the order of the grid
+    up = np.argsort(t, kind="stable")
+    for order in (up, up[::-1], np.random.default_rng(1).permutation(t.size)):
+        assert np.array_equal(_kernels.eval_terms_grid(packed, t[order]).view(
+            np.int64), got[order].view(np.int64))
+    # exactly zero off every support
+    off = on.copy()
+    for tm in terms:
+        off &= (t > tm.delay) if tm.anti_causal else (t < tm.delay)
+    assert np.all(got[off] == 0)
 
 
 # dde_rk4's scheme as a scalar loop, one step and one qubit at a time (same
