@@ -13,10 +13,13 @@ the requested horizon is kept, so the resulting series is exact for t < t_f.
 
 A diagram's rational function depends only on its numbers of transmissions
 and reflections, and its delay only on how often it crosses each gap. The
-qubit amplitudes therefore sum over weighted classes (`diagram_classes`, a
-dynamic program over those integer counts) rather than over single paths,
-and `class_terms` writes each class's residues in closed form; the field
-follows from the amplitudes (see `evaluator`).
+qubit amplitudes therefore sum over weighted classes rather than over
+single paths: `class_polynomials`, a dynamic program over (qubit,
+direction, crossings), counts the paths of each finishing qubit and
+crossing vector by #T in exact integers, and `class_rows` writes the
+residues of each such sum of classes in closed form. `diagram_classes`
+and `class_terms` are the per-class views of the two. The field follows
+from the amplitudes (see `evaluator`).
 `enumerate_diagrams` walks the binary tree path by path, with qubit or field
 finishers whose residues come from `momentum`'s partial fractions, and is
 kept as the reference the classes and the field are tested against.
@@ -24,9 +27,11 @@ kept as the reference the classes and the field are tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .core import ChainConfig, DelayedTerm, InitialCondition, TimeSeriesAmplitude
 from .errors import GeometryError, HorizonTooLarge
@@ -342,69 +347,22 @@ class DiagramClass:
     self_decay: bool = False
 
 
-_NEG_I_POW = (1, -1j, -1, 1j)       # (-i)^k by k mod 4
+class ClassPolynomial(NamedTuple):
+    """The qubit-finisher diagrams of one finishing qubit and one crossing
+    vector, counted by their number of transmissions.
 
-
-def _neg_i_pow(k: int, x: float = 1.0) -> complex:
-    """(-i x)^k, with the phase taken exactly from a table."""
-    return _NEG_I_POW[k % 4] * x ** k
-
-
-def class_terms(cfg: ChainConfig, init: InitialCondition, n_t: int, n_r: int,
-                self_decay: bool = False) -> tuple[DelayedTerm, ...]:
-    """The time-domain terms, at delay 0, of a qubit-finisher class.
-
-    The class function is starter * n_t transmissions * n_r reflections *
-    pickup, with P sqrt(J0) (-iJ0)^n_r = K and a = n_t:
-
-        K D^a / (D + iJ0)^m,                 m = n_t + n_r + 2,
-
-    for an excited start (P = sqrt(J0)) and for a pulse with sigma == J0
-    exactly, and otherwise, P from `pulse_spectrum`,
-
-        K D^a / ((D + i sigma) (D + iJ0)^m), m = n_t + n_r + 1.
-
-    With u = D + iJ0, D^a = (u - iJ0)^a binomially, so the coefficient of
-    u^-k is K b_(m-k) with b_r = C(a, r) (-iJ0)^(a-r); the factor
-    1/(u + delta), delta = i(sigma - J0), turns that into the recurrence
-    b_r = (C(a, r) (-iJ0)^(a-r) - b_(r-1)) / delta. The residue at -iJ0
-    gives the tau^(k-1) coefficient K b_(m-k) (-i)^k / (k-1)!, and the
-    simple pole at -i sigma the term -i K (-i sigma)^a / (i(J0 - sigma))^m.
-    The self-decay class is exp(-J0 tau): its momentum integrand runs over
-    both branches, 2 J0 / (D^2 + J0^2), of which only the causal pole -iJ0
-    contributes for tau > 0.
-
-    Pole orders m above 171 raise HorizonTooLarge: (m-1)! overflows float64.
+    `counts[a]` is the number of them with #T = a and #R = scatterings - a;
+    each non-zero entry is one `DiagramClass`, and all share `delay`. The
+    self-decay diagram has a polynomial of its own: counts (1,), no
+    scatterings. A named tuple: a class pass makes hundreds of them.
     """
-    j0 = cfg.j0
-    if self_decay:
-        return (DelayedTerm(0.0, -1j * j0, (1.0 + 0j,), cfg.omega),)
-    if init.kind == "excited_qubit":
-        p, sigma = math.sqrt(j0), j0
-    else:
-        (p,) = start_pulse(cfg, init.pulse).f.numer
-        sigma = init.pulse.sigma
-    pref = p * math.sqrt(j0) * _neg_i_pow(n_r, j0)     # K
-    a = n_t
-    m = n_t + n_r + 1 + (sigma == j0)
-    if m > _MAX_ORDER:
-        raise HorizonTooLarge(f"pole order {m} exceeds {_MAX_ORDER}: "
-                              f"({m}-1)! overflows float64")
-    b = [math.comb(a, r) * _neg_i_pow(a - r, j0) if r <= a else 0j
-         for r in range(m)]
-    terms = []
-    if sigma != j0:
-        delta = 1j * (sigma - j0)
-        prev = 0j
-        for r in range(m):
-            prev = b[r] = (b[r] - prev) / delta
-        residue = pref * _neg_i_pow(a, sigma) / (1j * (j0 - sigma)) ** m
-        terms.append(DelayedTerm(0.0, -1j * sigma, (-1j * residue,),
-                                 cfg.omega))
-    coeffs = tuple(pref * b[m - k] * _neg_i_pow(k) / math.factorial(k - 1)
-                   for k in range(1, m + 1))
-    terms.append(DelayedTerm(0.0, -1j * j0, coeffs, cfg.omega))
-    return tuple(terms)
+
+    qubit: int
+    crossings: tuple[int, ...]
+    delay: float
+    scatterings: int
+    counts: tuple[int, ...]
+    self_decay: bool = False
 
 
 def _gap_counters(cfg: ChainConfig) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -422,71 +380,263 @@ def _gap_counters(cfg: ChainConfig) -> tuple[tuple[float, ...], tuple[int, ...]]
     return tuple(gaps), tuple(index)
 
 
-def diagram_classes(cfg: ChainConfig, init: InitialCondition,
-                    qubits: tuple[int, ...], t_f: float) -> list[DiagramClass]:
-    """The qubit-finisher diagrams of `enumerate_diagrams` for every index in
-    `qubits`, grouped into weighted classes.
+def _reach(gaps: tuple[float, ...], gap_index: tuple[int, ...],
+           finishers: frozenset[int], t_f: float) -> tuple[float, ...]:
+    """Each qubit's distance to the nearest finisher, in the gap lengths of
+    `_gap_counters` that the class delays are summed from, less 1e-12 t_f
+    (zero for the finishers themselves; inf if no finisher is a qubit of
+    the chain).
 
-    A dynamic program over the states (qubit, direction, crossing counts,
-    #T, #R), one hop at a time; each state carries the number of paths that
-    reach it. Classes are emitted by the same rules as the tree walk, and a
-    class's weight is its number of paths. Sorted by delay, then by key.
-    Raises HorizonTooLarge past DIAGRAM_CAP classes.
+    A delay is a sum of one product per distinct gap length and rounds by
+    far less than that margin, so a state whose delay plus its reach
+    reaches t_f leads to no class below t_f.
+    """
+    along = [0.0]
+    for g in gap_index:
+        along.append(along[-1] + gaps[g])
+    marks = [along[f] for f in finishers if 0 <= f < len(along)]
+    return tuple(max(0.0, min((abs(x - y) for y in marks), default=math.inf)
+                     - 1e-12 * t_f) for x in along)
+
+
+def class_polynomials(cfg: ChainConfig, init: InitialCondition,
+                      qubits: tuple[int, ...],
+                      t_f: float) -> list[ClassPolynomial]:
+    """The qubit-finisher diagrams of `enumerate_diagrams` for every index in
+    `qubits`, as one path-count polynomial per finishing qubit and crossing
+    vector.
+
+    A dynamic program over the states (qubit, direction, crossing counts),
+    one hop at a time. Each state carries P, its exact path counts by #T: a
+    transmission maps P to [0] + P and a reflection keeps it, and #R is
+    E - #T, with the number E of scatterings fixed by the crossings (hops
+    - 1 after an excited start, hops for a pulse). Polynomials are emitted
+    by the same rules as the tree walk. A state is dropped once its delay
+    plus its distance to the nearest finisher (`_reach`) reaches t_f.
+    Sorted by delay, then crossings, then qubit. Raises HorizonTooLarge
+    past DIAGRAM_CAP classes, i.e. non-zero counts.
     """
     if not 0 < t_f < math.inf:
         raise ValueError("t_f must be positive and finite")
-    n = cfg.num_qubits
     finishers = frozenset(qubits)
-    gaps, gap_index = _gap_counters(cfg)
-    offset = init.pulse.x0 if init.kind == "pulse" else 0.0
-    zero = (0,) * len(gaps)
-    delays = {zero: offset}         # crossing counts -> delay
-    weights: dict[tuple, int] = {}  # class key -> number of paths
+    counters = _gap_counters(cfg)
+    polys, _ = _class_dp(cfg, init, finishers, t_f, counters,
+                         _reach(*counters, finishers, t_f))
+    return polys
 
-    def emit(key, w):
-        weights[key] = weights.get(key, 0) + w
-        if len(weights) > DIAGRAM_CAP:
+
+def _class_dp(cfg: ChainConfig, init: InitialCondition,
+              finishers: frozenset[int], t_f: float,
+              gap_counters: tuple[tuple[float, ...], tuple[int, ...]],
+              reach: tuple[float, ...]) -> tuple[list[ClassPolynomial], int]:
+    """`class_polynomials` for the per-qubit distances `reach`, which may
+    understate the true ones (all zero: no light-cone prune), and the
+    number of states the program visited."""
+    n = cfg.num_qubits
+    gaps, gap_index = gap_counters
+    excited = init.kind == "excited_qubit"
+    offset = 0.0 if excited else init.pulse.x0
+    zero = (0,) * len(gaps)
+    # crossing vectors by number, with their delays and, per gap, the
+    # number of the vector one more hop across that gap (None: not made)
+    vectors, delays, ids = [zero], [offset], {zero: 0}
+    after: list[list[int | None]] = [[None] * len(gaps)]
+    emitted: dict[tuple, list[int]] = {}      # (qubit, vector) -> P
+    classes = 0
+    out = []
+
+    def emit(key, p):
+        nonlocal classes
+        acc = emitted.setdefault(key, [])
+        if len(acc) < len(p):
+            acc.extend([0] * (len(p) - len(acc)))
+        for a, w in enumerate(p):
+            if w:
+                classes += not acc[a]
+                acc[a] += w
+        if classes > DIAGRAM_CAP:
             raise HorizonTooLarge(f"diagram class cap {DIAGRAM_CAP} exceeded "
                                   f"before t_f={t_f}")
 
-    def hop(states, at, direction, crossings, n_t, n_r, w):
+    def hop(states, at, direction, v, p, transmit):
         nxt = at + direction
         if not 0 <= nxt < n:
             return  # photon leaves the system, branch terminates
-        counts = list(crossings)
-        counts[gap_index[min(at, nxt)]] += 1
-        counts = tuple(counts)
-        if counts not in delays:
-            delays[counts] = offset + sum(c * g for c, g in zip(counts, gaps))
-        if delays[counts] < t_f:
-            key = (nxt, direction, counts, n_t, n_r)
-            states[key] = states.get(key, 0) + w
+        g = gap_index[at if direction == 1 else nxt]
+        w = after[v][g]
+        if w is None:
+            counts = list(vectors[v])
+            counts[g] += 1
+            counts = tuple(counts)
+            w = ids.get(counts)
+            if w is None:
+                w = ids[counts] = len(vectors)
+                vectors.append(counts)
+                delays.append(offset + sum(c * length for c, length
+                                           in zip(counts, gaps)))
+                after.append([None] * len(gaps))
+            after[v][g] = w
+        if delays[w] + reach[nxt] < t_f:
+            if transmit:
+                p = [0] + p
+            key = (nxt, direction, w)
+            old = states.get(key)
+            states[key] = p if old is None else [
+                x + y for x, y in itertools.zip_longest(old, p, fillvalue=0)]
 
-    # states of one hop count: (qubit, direction, crossings, #T, #R) -> paths
-    states: dict[tuple, int] = {}
-    if init.kind == "excited_qubit":
+    # states of one hop count: (qubit, direction, vector) -> P
+    states: dict[tuple, list[int]] = {}
+    if excited:
         src = init.qubit
         if src in finishers:
-            emit((src, zero, 0, 0, True), 1)
+            classes = 1
+            out.append(ClassPolynomial(src, zero, offset, 0, (1,), True))
         for direction in (1, -1):
-            hop(states, src, direction, zero, 0, 0, 1)
-    elif offset < t_f:
+            hop(states, src, direction, 0, [1], False)
+    else:
         direction = 1 if init.pulse.direction == "right" else -1
         entry = 0 if direction == 1 else n - 1
-        states[(entry, direction, zero, 0, 0)] = 1
+        if offset + reach[entry] < t_f:
+            states[(entry, direction, 0)] = [1]
 
+    visited = 0
     while states:
-        following: dict[tuple, int] = {}
-        for (at, direction, crossings, n_t, n_r), w in states.items():
+        visited += len(states)
+        following: dict[tuple, list[int]] = {}
+        for (at, direction, v), p in states.items():
             if at in finishers:
-                emit((at, crossings, n_t, n_r, False), w)
-            hop(following, at, direction, crossings, n_t + 1, n_r, w)
-            hop(following, at, -direction, crossings, n_t, n_r + 1, w)
+                emit((at, v), p)
+            hop(following, at, direction, v, p, True)
+            hop(following, at, -direction, v, p, False)
         states = following
 
-    out = [DiagramClass(UnitCell(CellKind.FINISH_QUBIT, qubit=at), crossings,
-                        n_t, n_r, delays[crossings], w, self_decay)
-           for (at, crossings, n_t, n_r, self_decay), w in weights.items()]
-    out.sort(key=lambda c: (c.delay, c.crossings, c.finisher.sort_key(),
-                            c.n_t, c.n_r))
-    return out
+    out += [ClassPolynomial(at, vectors[v], delays[v],
+                            sum(vectors[v]) - excited, tuple(p))
+            for (at, v), p in emitted.items()]
+    out.sort(key=lambda c: (c.delay, c.crossings, c.qubit))
+    return out, visited
+
+
+def diagram_classes(cfg: ChainConfig, init: InitialCondition,
+                    qubits: tuple[int, ...], t_f: float) -> list[DiagramClass]:
+    """The qubit-finisher diagrams of `enumerate_diagrams` for every index in
+    `qubits`, grouped into weighted classes: the non-zero counts of
+    `class_polynomials`, whose weight is their number of paths.
+
+    Sorted by delay, then by key. Raises HorizonTooLarge past DIAGRAM_CAP
+    classes.
+    """
+    return [DiagramClass(UnitCell(CellKind.FINISH_QUBIT, qubit=c.qubit),
+                         c.crossings, a, c.scatterings - a, c.delay, w,
+                         c.self_decay)
+            for c in class_polynomials(cfg, init, qubits, t_f)
+            for a, w in enumerate(c.counts) if w]
+
+
+#: k! for k < _MAX_ORDER, as exact integers: an excited start's residue
+#: coefficients I_j / (k-1)! are then correctly rounded quotients.
+_FACTORIAL = tuple(math.factorial(k) for k in range(_MAX_ORDER))
+
+
+def _class_start(cfg: ChainConfig,
+                 init: InitialCondition) -> tuple[complex, float | None]:
+    """p sqrt(J0), with p the starter's numerator, and the pulse's sigma;
+    sigma is None where -iJ0 is the only pole (an excited start, or a
+    pulse with sigma == J0 exactly)."""
+    j0 = cfg.j0
+    if init.kind == "excited_qubit":
+        return complex(j0), None
+    (p,) = start_pulse(cfg, init.pulse).f.numer
+    sigma = init.pulse.sigma
+    return p * math.sqrt(j0), None if sigma == j0 else sigma
+
+
+def _merged_rows(j0: float, pref: complex, sigma: float | None,
+                 scatterings: int, counts: tuple[int, ...],
+                 self_decay: bool) -> list[tuple[complex, list[complex]]]:
+    """The (pole, coefficients) rows at delay 0 of the class function summed
+    over `counts`; see `class_rows`."""
+    if self_decay:
+        return [(-1j * j0, [1.0 + 0j])]
+    e = scatterings
+    m = e + 1 + (sigma is None)
+    if m > _MAX_ORDER:
+        raise HorizonTooLarge(f"pole order {m} exceeds {_MAX_ORDER}: "
+                              f"({m}-1)! overflows float64")
+    shifted = [0] * (e + 1)         # I_j = sum_a P[a] C(a, j)
+    for a, w in enumerate(counts):
+        if w:
+            for j in range(a + 1):
+                shifted[j] += w * math.comb(a, j)
+    coeffs = [0j] * m               # tau^(k-1) at k - 1, k = m - r
+    if sigma is None:
+        for r, i in enumerate(shifted):
+            k = m - r
+            x = i / _FACTORIAL[k - 1] * j0 ** (k - 2)
+            coeffs[k - 1] = pref * (x if k % 2 else -x)
+        return [(-1j * j0, coeffs)]
+    d = j0 - sigma
+    beta = 0.0
+    for r, i in enumerate(shifted):
+        beta = (i * j0 ** (e - r) - beta) / d
+        k = m - r
+        x = beta / _FACTORIAL[k - 1]
+        coeffs[k - 1] = pref * (x if k % 2 else -x)
+    s = sum(w * sigma ** a * j0 ** (e - a) for a, w in enumerate(counts) if w)
+    x = s / d ** m
+    return [(-1j * sigma, [pref * (x if e % 2 else -x)]), (-1j * j0, coeffs)]
+
+
+def class_rows(cfg: ChainConfig, init: InitialCondition,
+               polys: list[ClassPolynomial]
+               ) -> list[list[tuple[complex, list[complex]]]]:
+    """The time-domain terms, at delay 0, of each `ClassPolynomial` of
+    `polys`: one list of (pole, coefficients) rows per polynomial.
+
+    A class with #T = a and #R = E - a has the class function (starter,
+    a transmissions, E - a reflections, pickup)
+
+        p sqrt(J0) (-iJ0)^(E-a) D^a / ((D + i sigma) (D + iJ0)^m)
+
+    with m = E + 1, p from `pulse_spectrum`, and without the sigma factor
+    and with m = E + 2 for an excited start (p = sqrt(J0)) and for a pulse
+    with sigma == J0 exactly. The terms are linear in the class weights, so
+    a polynomial's rows are those of the weighted sum. With u = D + iJ0,
+    D^a = (u - iJ0)^a binomially, and summed over the counts P the
+    numerator is p sqrt(J0) sum_j I_j (-iJ0)^(E-j) u^j, where the integers
+    I_j = sum_a P[a] C(a, j) are the coefficients of P(1 + y). The residue
+    at -iJ0 then gives the tau^(k-1) coefficient
+
+        p sqrt(J0) (-1)^(k-1) J0^(k-2) I_(m-k) / (k-1)!
+
+    without the sigma factor (0 for k = 1). With it, 1/(u + delta),
+    delta = i(sigma - J0), turns I_r into the real recurrence
+    beta_r = (I_r J0^(E-r) - beta_(r-1)) / (J0 - sigma) and the coefficient
+    p sqrt(J0) (-1)^(k-1) beta_(m-k) / (k-1)!; the simple pole at -i sigma
+    gives the term
+
+        p sqrt(J0) (-1)^(E+1) sum_a P[a] sigma^a J0^(E-a) / (J0 - sigma)^m,
+
+    a sum taken from P, whose terms share one sign, and not from I, which
+    would cancel digits for sigma < J0. The self-decay class is
+    exp(-J0 tau): its momentum integrand runs over both branches,
+    2 J0 / (D^2 + J0^2), of which only the causal pole -iJ0 contributes for
+    tau > 0.
+
+    Pole orders m above 171 raise HorizonTooLarge before any coefficient
+    is formed: (m-1)! overflows float64.
+    """
+    pref, sigma = _class_start(cfg, init)
+    return [_merged_rows(cfg.j0, pref, sigma, c.scatterings, c.counts,
+                         c.self_decay) for c in polys]
+
+
+def class_terms(cfg: ChainConfig, init: InitialCondition, n_t: int, n_r: int,
+                self_decay: bool = False) -> tuple[DelayedTerm, ...]:
+    """The time-domain terms, at delay 0, of one qubit-finisher class: the
+    rows of `class_rows` for the single count P[n_t] = 1 of n_t + n_r
+    scatterings (or of the self-decay class)."""
+    rows = _merged_rows(cfg.j0, *_class_start(cfg, init), n_t + n_r,
+                        (0,) * n_t + (1,), self_decay)
+    return tuple(DelayedTerm(0.0, pole, tuple(c), cfg.omega)
+                 for pole, c in rows)

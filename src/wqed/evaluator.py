@@ -1,15 +1,16 @@
-"""Assemble observables from weighted diagram classes.
+"""Assemble observables from the integer class polynomials.
 
 Qubit excitation amplitudes are direct sums of finished diagram classes.
-Within one call the closed-form terms (`diagrams.class_terms`) are built
-once per distinct class function, at delay 0. Each class then appends
-their coefficients, times its weight (its number of diagrams), as plain
-rows of complex numbers under the key (its delay, pole, carrier,
-causality); `merge_terms` sums each key's rows in class order, and
-`core.packed_series` makes one DelayedTerm per merged row and packs the
-rows once into the arrays that every evaluation and the rounding bound
-read. A merged series whose a-priori rounding bound exceeds ROUNDING_TOL
-raises IllConditioned.
+One integer dynamic program (`diagrams.class_polynomials`) counts, for
+every finishing qubit and crossing vector, the paths by their number of
+transmissions, and `diagrams.class_rows` turns each such polynomial into
+its merged closed-form coefficients at once, since the class terms are
+linear in the class weights. Each polynomial's rows go under the key (its
+delay, pole, carrier, causality); `merge_terms` sums the rows of crossing
+vectors that share a delay, and `core.packed_series` makes one
+DelayedTerm per merged row and packs the rows once into the arrays that
+every evaluation and the rounding bound read. A merged series whose
+a-priori rounding bound exceeds ROUNDING_TOL raises IllConditioned.
 
 The field is the qubits' emission. By the waveguide input-output relation
 (Fan, Kocabas & Shen, Phys. Rev. A 82, 063821 (2010))
@@ -21,7 +22,8 @@ incident pulse (zero for an excited start). Each qubit's emission is its
 amplitude series, evaluated by `core.eval_series` at the retarded times of
 a whole array of positions, so one class pass over all qubits gives the
 amplitudes, the field profile and the norm.
-The field norm is Gauss quadrature of that same evaluation:
+The field norm is Gauss quadrature of that same evaluation, which also
+reads the qubit populations at its time:
 Gauss-Legendre between the fronts and window edges, Gauss-Laguerre on the
 incident pulse's tail, with a node rule whose truncation error is bounded
 below rounding (see `_branch_norm`).
@@ -37,7 +39,7 @@ import numpy as np
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition,
                    TimeSeriesAmplitude, packed_series, rounding_bound)
-from .diagrams import class_terms, diagram_classes, start_pulse
+from .diagrams import class_polynomials, class_rows, start_pulse
 from .errors import IllConditioned
 # Unused here: kept only because perfbench/tracing.py wraps these names and
 # its self-test requires every wrap target to exist.
@@ -76,10 +78,9 @@ def merge_terms(groups) -> list[tuple[tuple, list[complex]]]:
     """
     out = []
     for key, rows in groups.items():
-        acc = [0j] * max(len(row) for row in rows)
+        acc = [0j] * max(map(len, rows))
         for row in rows:
-            for k, c in enumerate(row):
-                acc[k] += c
+            acc[:len(row)] = [a + c for a, c in zip(acc, row)]
         if all(abs(c) < 1e-300 for c in acc):
             continue
         out.append((key, acc))
@@ -113,26 +114,21 @@ def _class_pass(cfg: ChainConfig, init: InitialCondition,
                 t_f: float) -> dict[int, TimeSeriesAmplitude]:
     """The merged series of `qubits` through t_f, without the rounding check.
 
-    The closed-form terms are built once per distinct class function (#T,
-    #R, self-decay) at delay 0. Each class appends its base coefficients,
-    times its weight, as plain rows under the key (its delay, pole,
-    carrier, causality); `merge_terms` sums each key's rows and
+    One integer dynamic program (`diagrams.class_polynomials`) counts the
+    paths of every (finishing qubit, crossing vector) by #T, and
+    `diagrams.class_rows` turns each such polynomial into its merged rows
+    at once. The rows go under the key (delay, pole, carrier, causality),
+    in the program's (delay, crossings) order; `merge_terms` sums each
+    key's rows (crossing vectors may share a delay on uneven chains) and
     `core.packed_series` packs the merged rows once.
     """
-    base: dict[tuple, list[tuple]] = {}
     groups: dict[int, dict[tuple, list]] = {q: {} for q in qubits}
-    for c in diagram_classes(cfg, init, qubits, t_f):
-        key = (c.n_t, c.n_r, c.self_decay)
-        if key not in base:
-            base[key] = [(tm.pole, tm.carrier, tm.anti_causal, tm.poly_coeffs)
-                         for tm in class_terms(cfg, init, *key)]
-        rows = groups[c.finisher.qubit]
-        # complex(w): numpy scales complex arrays by w as a complex number;
-        # a componentwise complex * float can give other signs of zero
-        w = complex(float(c.weight))
-        for pole, carrier, anti, coeffs in base[key]:
-            rows.setdefault((c.delay, pole, carrier, anti), []).append(
-                [x * w for x in coeffs])
+    polys = class_polynomials(cfg, init, qubits, t_f)
+    for c, rows in zip(polys, class_rows(cfg, init, polys)):
+        group = groups[c.qubit]
+        for pole, coeffs in rows:
+            group.setdefault((c.delay, pole, cfg.omega, False),
+                             []).append(coeffs)
     return {q: packed_series(merge_terms(g), label=f"e:{q}")
             for q, g in groups.items()}
 
@@ -194,16 +190,28 @@ def _segments(cfg: ChainConfig, init: InitialCondition, t: float,
     return out
 
 
-def _branch_field(segments, s: np.ndarray) -> np.ndarray:
-    """One branch's field at the coordinates s; window edges weigh 1/2."""
+def _branch_field(segments, s: np.ndarray, t: float | None = None):
+    """One branch's field at the coordinates s, window edges weighing 1/2,
+    and the qubit populations sum_q |e_q(t)|^2 (0 without a time t).
+
+    A finite window's series is read at s + lag, and its edge s = hi is the
+    time hi + lag = t; with t given, t is appended to that same evaluation,
+    so the populations cost no kernel call of their own.
+    """
     out = np.zeros(s.shape, dtype=complex)
+    population = 0.0
     for hi, lag, factor, series in segments:
         inside = s <= hi
-        if inside.any():
+        read = t is not None and hi < math.inf
+        if inside.any() or read:
             si = s[inside]
-            out[inside] += (factor * np.where(si == hi, 0.5, 1.0)
-                            * series(si + lag))
-    return out
+            times = si + lag
+            values = series(np.append(times, t) if read else times)
+            if read:
+                population += abs(values[-1]) ** 2
+                values = values[:-1]
+            out[inside] += factor * np.where(si == hi, 0.5, 1.0) * values
+    return out, population
 
 
 def field_profile(cfg: ChainConfig, init: InitialCondition, t: float,
@@ -217,8 +225,8 @@ def _field_from(cfg: ChainConfig, init: InitialCondition, t: float, xs,
     """field_profile from every qubit's amplitude, exact through time t."""
     xs = np.array(xs, dtype=float)
     segments = _segments(cfg, init, t, amps)
-    return FieldProfile(t, xs, _branch_field(segments["right"], -xs),
-                        _branch_field(segments["left"], xs))
+    return FieldProfile(t, xs, _branch_field(segments["right"], -xs)[0],
+                        _branch_field(segments["left"], xs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +263,10 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2 / ((1 - x * x) * dp * dp)
 
 
-def _branch_norm(segments) -> float:
-    """Int |psi(s)|^2 ds for one branch, by quadrature of `_branch_field`.
+def _branch_norm(segments, t: float | None = None) -> tuple[float, float]:
+    """Int |psi(s)|^2 ds for one branch, by quadrature of `_branch_field`,
+    and the qubit populations at time t that the same evaluation reads
+    (0 without t).
 
     Between consecutive cuts (fronts and window edges) the field is smooth:
     a sum of terms psi_i = P_i(s - a_i) exp(-i(p_i + W)(s - a_i)) with
@@ -283,7 +293,7 @@ def _branch_norm(segments) -> float:
     """
     terms = [tm for _, _, _, series in segments for tm in series.terms]
     if not terms:
-        return 0.0
+        return 0.0, 0.0
     cuts = sorted({tm.delay - lag for _, lag, _, series in segments
                    for tm in series.terms}
                   | {hi for hi, _, _, _ in segments if math.isfinite(hi)})
@@ -299,7 +309,8 @@ def _branch_norm(segments) -> float:
     weight = (h[:, None] / 2 * w).ravel()
     # a plain sum, not np.dot: BLAS's first call adds 0.15 MB of resident
     # memory, and nothing else on the norm path uses it
-    total = float((weight * np.abs(_branch_field(segments, s)) ** 2).sum())
+    psi, population = _branch_field(segments, s, t)
+    total = float((weight * np.abs(psi) ** 2).sum())
 
     tail = [tm for hi, _, _, series in segments if hi == math.inf
             for tm in series.terms]
@@ -307,9 +318,9 @@ def _branch_norm(segments) -> float:
         (pulse,) = tail
         assert len(pulse.poly_coeffs) == 1
         mu = -2 * pulse.pole.imag
-        psi = _branch_field(segments, np.array([cuts[-1] + 1 / mu]))
+        psi, _ = _branch_field(segments, np.array([cuts[-1] + 1 / mu]))
         total += math.e * float(np.abs(psi[0]) ** 2) / mu
-    return total
+    return total, population
 
 
 def total_norm(cfg: ChainConfig, init: InitialCondition, t):
@@ -333,15 +344,16 @@ def _norm_at(cfg: ChainConfig, init: InitialCondition, t: float,
     """The norm at time t from amplitudes exact up to a horizon >= t."""
     horizon = _through(t)
     amps = {q: amp.before(horizon) for q, amp in amps.items()}
+    segments = _segments(cfg, init, t, amps)
     if t == 0:
         # the t -> 0+ limit: at t = 0 the excited qubit's own term would
         # take Theta(0) = 1/2, while the field is still empty
+        right, _ = _branch_norm(segments["right"])
         qubit_part = float(init.kind == "excited_qubit")
     else:
-        qubit_part = sum(abs(amp(t)) ** 2 for amp in amps.values())
-    segments = _segments(cfg, init, t, amps)
-    return float(qubit_part + _branch_norm(segments["right"])
-                 + _branch_norm(segments["left"]))
+        right, qubit_part = _branch_norm(segments["right"], t)
+    left, _ = _branch_norm(segments["left"])
+    return float(qubit_part + right + left)
 
 
 def causality_probe(cfg: ChainConfig, init: InitialCondition,

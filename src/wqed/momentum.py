@@ -21,7 +21,7 @@ closing the contour downward for tau > 0; poles with Im(p) > 0 contribute
 only for tau < 0 (anti-causal terms, flagged).
 
 The amplitude engine splits no partial fractions: its class functions have
-poles only at -iJ0 and at a pulse's -i*sigma, and `diagrams.class_terms`
+poles only at -iJ0 and at a pulse's -i*sigma, and `diagrams.class_rows`
 writes their residues in closed form. `partial_fractions` and
 `inverse_transform` are the reference behind the per-cell rules
 (`diagrams.apply_cell`), the per-path tree walk and the tests of that

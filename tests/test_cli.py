@@ -380,13 +380,13 @@ def test_check_norm_long_horizon(tmp_path, capsys):
 
 def _count_class_passes(monkeypatch):
     calls = []
-    original = evaluator.diagram_classes
+    original = evaluator.class_polynomials
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(evaluator, "diagram_classes", counted)
+    monkeypatch.setattr(evaluator, "class_polynomials", counted)
     return calls
 
 

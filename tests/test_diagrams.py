@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -423,6 +424,47 @@ def test_class_cap_counts_classes(monkeypatch):
     monkeypatch.setattr(diagrams, "DIAGRAM_CAP", 43)
     with pytest.raises(HorizonTooLarge):
         diagram_classes(cfg, init, (3,), 24.0)
+
+
+def _unpruned_and_pruned(cfg, init, qubits, t_f):
+    """The class DP's (polynomials, states visited) with all distances to
+    a finisher taken as zero, and with the light-cone prune."""
+    finishers = frozenset(qubits)
+    counters = diagrams._gap_counters(cfg)
+    return [diagrams._class_dp(cfg, init, finishers, t_f, counters, reach)
+            for reach in ((0.0,) * cfg.num_qubits,
+                          diagrams._reach(*counters, finishers, t_f))]
+
+
+@pytest.mark.parametrize("finisher", [1, 7])
+def test_light_cone_prune_keeps_every_class(finisher):
+    """n = 8 from qubit 0: the prune visits fewer states and emits the same
+    classes; the light cone of finisher 1 is short and that of 7 long."""
+    cfg = ChainConfig(8, 4.0, 1.0, 1.0)
+    (full, seen_all), (pruned, seen) = _unpruned_and_pruned(
+        cfg, InitialCondition.excited(0), (finisher,), 12.0)
+    assert pruned == full and full
+    assert seen < seen_all
+    # a finisher outside the chain has no classes, as without the prune
+    assert diagrams.class_polynomials(cfg, InitialCondition.excited(0), (8,),
+                                      12.0) == []
+
+
+@pytest.mark.parametrize("positions, t_f, qubits", [
+    # gaps that differ in the last bits; delays k * 0.1 on both sides of t_f
+    (tuple(m * 0.1 for m in range(8)), 2.4, (7,)),
+    # one ulp above the class delay 5 * 0.1: without the prune's margin,
+    # the rounding of the distances would drop states that lead to it
+    (tuple(m * 0.1 for m in range(8)), math.nextafter(5 * 0.1, 1.0), (3,)),
+    # gaps within _GEOM_TOL share the length 1, so qubit 4 has classes at
+    # delay 6 exactly; measured in positions it would lie 1.8e-9 further
+    # from qubit 2, and the prune would drop states that lead to them
+    ((0.0, 1.0, 2.0 + 9e-10, 3.0 + 1.8e-9, 4.0 + 2.7e-9), 6.0 + 1e-9, (4,))])
+def test_light_cone_prune_on_float_gaps(positions, t_f, qubits):
+    cfg = ChainConfig(len(positions), 4.0, 1.0, 0.0, positions=positions)
+    (full, _), (pruned, _) = _unpruned_and_pruned(
+        cfg, InitialCondition.excited(0), qubits, t_f)
+    assert pruned == full and full
 
 
 def test_class_function_is_the_product_of_coefficients():

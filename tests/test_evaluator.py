@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wqed.core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
                        TimeSeriesAmplitude, rounding_bound)
-from wqed.diagrams import class_terms, diagram_classes
+from wqed.diagrams import class_terms, diagram_classes, start_pulse
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
 from wqed import _kernels, core, evaluator, fermi, momentum, oracle
@@ -201,13 +202,13 @@ def test_one_class_pass_per_observable(monkeypatch):
     """The field and the norm take every qubit's amplitude from a single
     diagram-class pass."""
     calls = []
-    original = evaluator.diagram_classes
+    original = evaluator.class_polynomials
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(evaluator, "diagram_classes", counted)
+    monkeypatch.setattr(evaluator, "class_polynomials", counted)
     cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
     init = InitialCondition.excited(1)
     total_norm(cfg3, init, 4.5)
@@ -319,6 +320,34 @@ def test_runtime_needs_no_partial_fractions(monkeypatch, init):
     assert total_norm(cfg3, init, 6.0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("init", [
+    InitialCondition.excited(1),
+    InitialCondition.incident(PulseSpec(0.7, 0.5, "left"))])
+def test_norm_reads_populations_with_the_field(monkeypatch, n, init):
+    """A scalar norm reads every e_q(t) in the kernel call that evaluates
+    q's emission, so its only one-point kernel call is the pulse tail; it
+    equals the populations read one by one plus the branch norms."""
+    cfg_n = ChainConfig(n, OMEGA, J0, 1.0)
+    t = 3.7
+    points = []
+    kernel = _kernels.eval_terms_grid
+
+    def counted(packed, ts):
+        points.append(len(ts))
+        return kernel(packed, ts)
+
+    monkeypatch.setattr(_kernels, "eval_terms_grid", counted)
+    got = total_norm(cfg_n, init, t)
+    assert points.count(1) == (init.kind == "pulse")
+    amps = evaluator.all_amplitudes(cfg_n, init, t)
+    segments = evaluator._segments(cfg_n, init, t, amps)
+    want = (sum(abs(amp(t)) ** 2 for amp in amps.values())
+            + evaluator._branch_norm(segments["right"])[0]
+            + evaluator._branch_norm(segments["left"])[0])
+    assert got == pytest.approx(want, rel=0, abs=1e-14)
+
+
 def test_norm_at_many_times_from_one_class_pass(monkeypatch):
     """An array of times takes one class pass and gives the scalar calls'
     norms."""
@@ -327,13 +356,13 @@ def test_norm_at_many_times_from_one_class_pass(monkeypatch):
     ts = np.linspace(0.0, 6.0, 13)
     want = [total_norm(cfg3, init, float(t)) for t in ts]
     calls = []
-    original = evaluator.diagram_classes
+    original = evaluator.class_polynomials
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(evaluator, "diagram_classes", counted)
+    monkeypatch.setattr(evaluator, "class_polynomials", counted)
     got = total_norm(cfg3, init, ts)
     assert len(calls) == 1
     assert got.shape == ts.shape
@@ -455,6 +484,11 @@ def _bits(values):
     return np.asarray(values, dtype=complex).view(np.int64)
 
 
+def _term_keys(series):
+    return [(tm.delay, tm.pole, tm.carrier, tm.anti_causal)
+            for tm in series.terms]
+
+
 def _assert_same_terms(got, want):
     """Term for term and bit for bit, pack included."""
     assert len(got.terms) == len(want.terms)
@@ -517,8 +551,13 @@ def test_class_pass_matches_term_objects(case):
         assert refused
         return
     assert not refused
+    # the merged rows round differently from the per-class sums, by a few
+    # eps of each coefficient; at most 6.7 eps past the bound here
+    ts = np.linspace(0.0, t_f, 257)[:-1]
     for q in qubits:
-        _assert_same_terms(got[q], want[q])
+        assert _term_keys(got[q]) == _term_keys(want[q])
+        tol = rounding_bound(want[q], t_f) + 8 * np.finfo(float).eps
+        assert np.all(np.abs(got[q](ts) - want[q](ts)) <= tol)
 
 
 def test_merge_terms_sums_in_order_drops_zeros_and_sorts():
@@ -539,6 +578,120 @@ def test_merge_terms_sums_in_order_drops_zeros_and_sorts():
     want = TimeSeriesAmplitude(_reference_merge(terms))
     assert len(want.terms) == 3
     _assert_same_terms(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Merged class terms against exact rationals
+# ---------------------------------------------------------------------------
+
+_NEG_I = ((1, 0), (0, -1), (-1, 0), (0, 1))     # (-i)^k by k mod 4: (re, im)
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cdiv(x, y):
+    d = Fraction(y[0] ** 2 + y[1] ** 2)
+    return ((x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d)
+
+
+def _exact_class_rows(n_t, n_r, sigma):
+    """One class's terms over p sqrt(J0) for J0 = 1, by the per-class
+    formula (K = p sqrt(J0) (-iJ0)^n_r, b_r = C(n_t, r) (-iJ0)^(n_t - r),
+    b_r <- (b_r - b_(r-1)) / i(sigma - J0), the residue at -i sigma) in
+    exact rationals: {pole: [(re, im)]}. sigma is None where -iJ0 is the
+    only pole."""
+    zero = (Fraction(0), Fraction(0))
+    a = n_t
+    m = n_t + n_r + 1 + (sigma is None)
+    b = [_cmul((math.comb(a, r), 0), _NEG_I[(a - r) % 4]) if r <= a
+         else zero for r in range(m)]
+    k = _NEG_I[n_r % 4]
+    rows = {}
+    if sigma is not None:
+        prev = zero
+        for r in range(m):
+            prev = b[r] = _cdiv((b[r][0] - prev[0], b[r][1] - prev[1]),
+                                (0, sigma - 1))
+        den = (1, 0)
+        for _ in range(m):
+            den = _cmul(den, (0, 1 - sigma))
+        residue = _cdiv(_cmul(k, _cmul(_NEG_I[a % 4], (sigma ** a, 0))), den)
+        rows[-1j * float(sigma)] = [_cmul(_NEG_I[1], residue)]
+    rows[-1j] = [_cmul(_cmul(k, b[m - j]), _cdiv(_NEG_I[j % 4],
+                                                 (math.factorial(j - 1), 0)))
+                 for j in range(1, m + 1)]
+    return rows
+
+
+def _errors_in_eps(got, want):
+    """Largest relative error of each coefficient, in eps; an exact zero
+    is measured against the largest exact coefficient of its row."""
+    want = [complex(float(re), float(im)) for re, im in want]
+    assert len(got) == len(want)
+    scale = max(map(abs, want))
+    return max(abs(g - w) / (abs(w) or scale) for g, w in zip(got, want)) \
+        / np.finfo(float).eps
+
+
+def _merged_and_per_class_errors(cfg, init, t_f, sigma):
+    """Errors, in eps, of the class pass's merged coefficients over the float
+    p sqrt(J0) against exact sums over the classes, and of the per-class
+    float sums (`class_terms` times the weight, in class order)."""
+    qubits = tuple(range(cfg.num_qubits))
+    exact, per_class = {}, {}
+    for c in diagram_classes(cfg, init, qubits, t_f):
+        if c.self_decay:
+            continue
+        for pole, row in _exact_class_rows(c.n_t, c.n_r, sigma).items():
+            acc = exact.setdefault((c.finisher.qubit, c.delay, pole), [])
+            acc += [(0, 0)] * (len(row) - len(acc))
+            acc[:] = [(x[0] + c.weight * y[0], x[1] + c.weight * y[1])
+                      for x, y in zip(acc, row)]
+        for tm in class_terms(cfg, init, c.n_t, c.n_r):
+            acc = per_class.setdefault((c.finisher.qubit, c.delay, tm.pole),
+                                       [])
+            acc += [0j] * (len(tm.poly_coeffs) - len(acc))
+            acc[:] = [x + y * float(c.weight)
+                      for x, y in zip(acc, tm.poly_coeffs)]
+    p = (math.sqrt(J0) if init.kind == "excited_qubit"
+         else start_pulse(cfg, init.pulse).f.numer[0])
+    pref = p * math.sqrt(J0)
+    got = {(q, tm.delay, tm.pole): tm.poly_coeffs
+           for q, amp in evaluator._class_pass(cfg, init, qubits, t_f).items()
+           for tm in amp.terms if tm.delay > 0 or init.kind == "pulse"}
+    assert got.keys() == exact.keys()
+    merged = max(_errors_in_eps([c / pref for c in got[key]], row)
+                 for key, row in exact.items())
+    reference = max(_errors_in_eps([c / pref for c in per_class[key]], row)
+                    for key, row in exact.items())
+    return merged, reference
+
+
+@pytest.mark.parametrize("gaps", [(1, 1, 1), (Fraction(7, 8), Fraction(9, 8),
+                                               Fraction(7, 8))])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_merged_class_terms_match_exact_rationals(n, gaps):
+    """Excited starts and pulses with sigma = 1, 1/5, 9/10 and 5 at 12 L.
+    At sigma = 9/10 the recurrence's 1/(J0 - sigma) amplifies rounding, in
+    the per-class sums as much. The sigma-pole residue is summed from the
+    path counts: from the binomial sums I_j it would cancel digits for
+    sigma < J0, about 1000 eps for sigma = 1/5 with n = 4."""
+    positions = tuple(float(sum(gaps[:k])) for k in range(n))
+    cfg = ChainConfig(n, 4.0, J0, 0.0, positions=positions)
+    merged, _ = _merged_and_per_class_errors(
+        cfg, InitialCondition.excited(0), 12.0, None)
+    assert merged <= 8
+    for sigma in (Fraction(1), Fraction(1, 5), Fraction(9, 10), Fraction(5)):
+        init = InitialCondition.incident(PulseSpec(float(sigma), 0.5,
+                                                   "right"))
+        merged, reference = _merged_and_per_class_errors(
+            cfg, init, 12.0, None if sigma == 1 else sigma)
+        if sigma == Fraction(9, 10):
+            assert merged <= 2 * reference + 2
+        else:
+            assert merged <= 8
 
 
 # ---------------------------------------------------------------------------
