@@ -24,6 +24,7 @@ of every command.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -171,11 +172,15 @@ def load_config(path: str):
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = np.column_stack(columns).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(r) for r in rows)
+    """Write the header (UTF-8) and one row per index of the columns, each
+    value as ``'%.17g'``. ``_csvformat`` builds the text with numpy; it is
+    imported here, so that commands which write no CSV never build its
+    tables."""
+    from ._csvformat import format_rows
+    table = np.column_stack(columns)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        format_rows(table, fh)
 
 
 def cmd_simulate(args) -> int:
@@ -346,8 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# An argparse parser is a web of reference cycles that only the cyclic
+# collector frees: one parser per process, not one per call, leaves no such
+# garbage behind each command (and saves building it, about 0.5 ms).
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -239,14 +239,21 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
       eps of the term;
     * nor those of the shared bases b: exp(r (t - b)), its product with a
       rate group's sum, and the exponents, rounded to about
-      eps |r| (|b - delay| + |t - b|) of each term.
+      eps |r| (|b - delay| + |t - b|) of each term;
+    * nor the coefficients' own rounding in the conversion of
+      `diagrams.class_rows`: the bound takes the coefficients as given.
+      Near sigma = J0 that rounding is 10-16 eps per coefficient, so two
+      correct roundings of one series can differ by more than the bound:
+      for n = 4 at spacing 1/4, a pulse with sigma = 0.375 and x0 = 1/8,
+      t_f = 1.40625, the merged and the per-class series of qubit 3
+      differ by 9.3e-15 where the bound is 4.4e-15.
 
-    For terms of size <= 1 those add up to about eps |r| t_f: 7e-14 for
-    n = 2, J0 = 5, Omega = 200 at 150 L, above that series' bound of 4.3e-14
-    but far below ROUNDING_TOL. Where cancellation makes the terms large,
-    at the envelope's edges, the error stays below the bound: 4.4e-9
-    against a 50-digit evaluation where the bound is 7.6e-9
-    (tests/test_evaluator.py).
+    For terms of size <= 1 the sweep's roundings add up to about
+    eps |r| t_f: 7e-14 for n = 2, J0 = 5, Omega = 200 at 150 L, above that
+    series' bound of 4.3e-14 but far below ROUNDING_TOL. Where cancellation
+    makes the terms large, at the envelope's edges, the error stays below
+    the bound: 4.4e-9 against a 50-digit evaluation where the bound is
+    7.6e-9 (tests/test_evaluator.py).
     """
     if not series.terms:
         return 0.0

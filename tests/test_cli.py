@@ -265,6 +265,17 @@ def test_cli_import_leaves_jsonschema_out():
     assert out == "False\n"
 
 
+def test_cli_import_leaves_csv_formatter_out():
+    """The numpy CSV formatter is imported by the first write_csv only."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import wqed, wqed.cli, sys; print('wqed._csvformat' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_chain_rejected_by_config_exits_2(tmp_path, capsys):
     """The schema admits separation 0; ChainConfig refuses it for n >= 2."""
     conf = _write_config(tmp_path, chain={"n": 2, "omega": 3.7, "j0": 1.0,
