@@ -1,6 +1,6 @@
 """Hot numeric kernels, numpy only.
 
-* ``eval_terms_grid`` sums a packed closed-form term list on a time grid in
+* ``eval_terms_grid`` sums a list of closed-form terms on a time grid in
   one sweep over the sorted grid. The grid is cut into blocks short enough
   for exp(+-kappa (block span)) to stay in float64's range, and each block's
   first point is the base b shared by all terms. Terms with the same rate r
@@ -19,20 +19,8 @@
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PackedTerms:
-    """Array-of-struct layout of DelayedTerm lists for grid evaluation."""
-
-    delays: np.ndarray  # (n,) float64
-    poles: np.ndarray   # (n,) complex128, carrier already folded in
-    coeffs: np.ndarray  # (n, m) complex128, ascending, zero padded
-    anti: np.ndarray    # (n,) bool
-    tops: tuple[int, ...]  # index of each row's last non-zero, -1 if none
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +33,12 @@ class PackedTerms:
 _BLOCK_EXPONENT = 600.0
 
 
-def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
-    """Evaluate a packed term list on a 1-D time grid; returns complex array.
+def eval_terms_grid(terms, t: np.ndarray) -> np.ndarray:
+    """Evaluate a term list on a 1-D time grid; returns complex array.
+
+    Each term is read through its `delay`, `pole`, `carrier`, `poly_coeffs`
+    (ascending, integer, real or complex; trailing zeros are dropped) and
+    `anti_causal`, the fields of `core.DelayedTerm`.
 
     The grid is swept in sorted order: a non-decreasing grid as it is, a
     non-increasing one as its reversed view, any other through a stable
@@ -82,24 +74,27 @@ def eval_terms_grid(packed: PackedTerms, t: np.ndarray) -> np.ndarray:
         out[m:] = complex(np.nan, np.nan)
     v, valid = v[:m], out[:m]
 
-    lo = v.searchsorted(packed.delays, "left").tolist()
-    hi = v.searchsorted(packed.delays, "right").tolist()
+    delays = [float(tm.delay) for tm in terms]
+    lo = v.searchsorted(delays, "left").tolist()
+    hi = v.searchsorted(delays, "right").tolist()
     causal, anti, kappa = [], [], 0.0
-    for d, p, row, top, a, l, h in zip(
-            packed.delays.tolist(), packed.poles.tolist(),
-            packed.coeffs.tolist(), packed.tops, packed.anti.tolist(), lo, hi):
-        if top < 0:
+    for tm, d, l, h in zip(terms, delays, lo, hi):
+        row = tm.poly_coeffs
+        while row and not row[-1]:
+            row = row[:-1]
+        if not row:
             continue
+        p = tm.pole + tm.carrier
         r = complex(p.imag, -p.real)  # -i (pole + carrier)
         kappa = max(kappa, abs(r.real))
-        if a:
+        if tm.anti_causal:
             # u = -t: the support t <= d is u >= -d, from m - h on the
             # ascending grid of u
             anti.append((-d, -r, [-c if i % 2 else c
-                                  for i, c in enumerate(row[:top + 1])],
+                                  for i, c in enumerate(row)],
                          m - h, m - l))
         else:
-            causal.append((d, r, row[:top + 1], l, h))
+            causal.append((d, r, row, l, h))
     if causal:
         _sweep(v, valid, causal, kappa)
     if anti:
@@ -141,9 +136,10 @@ def _sweep(v, out, terms, kappa):
                     # Theta = 1/2 exactly at the delay, where P = c_0
                     acc[st:sp] += 0.5 * row[0] * scale
                 if top:
-                    # Horner, in place after the first step
+                    # Horner, in place after the first step, which makes
+                    # the array complex whatever the coefficients' type
                     tau = v[first + sp:z] - d
-                    poly = tau * row[top]
+                    poly = tau * complex(row[top])
                     poly += row[top - 1]
                     for c in reversed(row[:top - 1]):
                         poly *= tau

@@ -15,7 +15,7 @@ Theta(t0 - t) instead.
 from __future__ import annotations
 
 import bisect
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import _kernels
 
 #: Heaviside value at the step, applied uniformly across the package.
 THETA_AT_ZERO = 0.5
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,8 @@ def eval_term(term: DelayedTerm, t):
 class TimeSeriesAmplitude:
     """A finite sum of delayed terms with a label naming the observable.
 
-    `packed`, the array layout that `eval_series` and `rounding_bound`
-    read, is built once per series, on first use or by `packed_series`
-    straight from merged coefficient rows; it is not a field, so equality
-    and hashing see only the terms and the label.
+    The terms are the series' only form: `eval_series` and `rounding_bound`
+    read them as they are.
     """
 
     terms: tuple[DelayedTerm, ...]
@@ -175,10 +173,6 @@ class TimeSeriesAmplitude:
 
     def __call__(self, t):
         return eval_series(self, t)
-
-    @functools.cached_property
-    def packed(self) -> _kernels.PackedTerms:
-        return _pack_terms(self.terms)
 
     def support_start(self) -> float:
         """Earliest time at which any causal term can be nonzero."""
@@ -189,21 +183,14 @@ class TimeSeriesAmplitude:
         """The series of the terms with delay < horizon.
 
         The terms must be sorted by delay, as merged series are; the kept
-        terms are then a prefix, and their pack a slice of this one's.
+        terms are then a prefix.
         """
         k = bisect.bisect_left(self.terms, horizon, key=lambda tm: tm.delay)
         if k == len(self.terms):
             return self
         if any(tm.delay < horizon for tm in self.terms[k:]):
             raise ValueError("terms are not sorted by delay")
-        out = TimeSeriesAmplitude(self.terms[:k], self.label)
-        if k:
-            p = self.packed
-            width = max(len(tm.poly_coeffs) for tm in out.terms)
-            _with_pack(out, _kernels.PackedTerms(
-                p.delays[:k], p.poles[:k], p.coeffs[:k, :width], p.anti[:k],
-                p.tops[:k]))
-        return out
+        return TimeSeriesAmplitude(self.terms[:k], self.label)
 
 
 def eval_series(series: TimeSeriesAmplitude, t):
@@ -213,7 +200,7 @@ def eval_series(series: TimeSeriesAmplitude, t):
     if not series.terms:
         out = np.zeros(t_arr.shape, dtype=complex)
     else:
-        out = _kernels.eval_terms_grid(series.packed,
+        out = _kernels.eval_terms_grid(series.terms,
                                        t_arr.ravel()).reshape(t_arr.shape)
     return complex(out) if out.ndim == 0 else out
 
@@ -226,9 +213,12 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     Algorithms, 2nd ed., ch. 5), so with eps = 2u a term's error is below
     eps (d + 1) sum_k |c_k| tau^k exp(-kappa tau), kappa = -Im pole, and
     tau^k exp(-kappa tau) peaks at tau_k = min(k / kappa, t_f - delay) on
-    the term's support. The bound sums that over the (causal) terms; it
-    sees the cancellation inside a polynomial and between terms, which the
-    sum of |term(t)| does not.
+    the term's support. The bound sums that, in one loop over the terms
+    and their coefficients and in logarithms (tau^k alone overflows for k
+    near 171), over the causal terms that switch on before t_f; anti-causal
+    terms, which only the backward-time check of a single qubit forms, are
+    left out. It sees the cancellation inside a polynomial and between
+    terms, which the sum of |term(t)| does not.
 
     What it covers under the grid sweep of `_kernels.eval_terms_grid`:
 
@@ -255,59 +245,20 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     the bound: 4.4e-9 against a 50-digit evaluation where the bound is
     7.6e-9 (tests/test_evaluator.py).
     """
-    if not series.terms:
-        return 0.0
-    packed = series.packed
-    kappa = -packed.poles.imag[:, None]
-    k = np.arange(packed.coeffs.shape[1])
-    tau = np.minimum(k / kappa, (t_f - packed.delays)[:, None])
-    with np.errstate(divide="ignore"):
-        # logarithms: tau^k alone overflows for k near 171
-        log = (np.log(np.abs(packed.coeffs))
-               + k * np.log(tau, out=np.zeros_like(tau), where=k > 0)
-               - kappa * tau)
-    size = np.array([len(tm.poly_coeffs) for tm in series.terms])
-    return float(_EPS * (size * np.exp(log).sum(axis=1)).sum())
-
-
-def _top(coeffs) -> int:
-    """Index of the last non-zero coefficient, -1 if there is none."""
-    for k in range(len(coeffs) - 1, -1, -1):
-        if coeffs[k]:
-            return k
-    return -1
-
-
-def _pack_terms(terms) -> _kernels.PackedTerms:
-    return _pack_rows([((tm.delay, tm.pole, tm.carrier, tm.anti_causal),
-                        list(tm.poly_coeffs)) for tm in terms])
-
-
-def _pack_rows(rows) -> _kernels.PackedTerms:
-    """Pack ((delay, pole, carrier, anti_causal), coefficient list) rows,
-    zero padding the coefficients to the longest row."""
-    width = max(len(c) for _, c in rows)
-    return _kernels.PackedTerms(
-        np.array([key[0] for key, _ in rows], dtype=float),
-        np.array([key[1] + key[2] for key, _ in rows], dtype=complex),
-        np.array([c + [0j] * (width - len(c)) for _, c in rows],
-                 dtype=complex),
-        np.array([key[3] for key, _ in rows], dtype=np.bool_),
-        tuple(_top(c) for _, c in rows))
-
-
-def _with_pack(series: TimeSeriesAmplitude,
-               packed: _kernels.PackedTerms) -> TimeSeriesAmplitude:
-    """Store `packed` as the series' cached pack (the instance dict is where
-    functools.cached_property keeps its value)."""
-    series.__dict__["packed"] = packed
-    return series
-
-
-def packed_series(rows, label: str = "") -> TimeSeriesAmplitude:
-    """A series from merged ((delay, pole, carrier, anti_causal),
-    coefficient list) rows, packed straight from the rows."""
-    series = TimeSeriesAmplitude(
-        tuple(DelayedTerm(d, p, tuple(c), w, a) for (d, p, w, a), c in rows),
-        label)
-    return _with_pack(series, _pack_rows(rows)) if rows else series
+    total = 0.0
+    for tm in series.terms:
+        span = t_f - tm.delay
+        if tm.anti_causal or span <= 0:
+            continue
+        kappa = -tm.pole.imag
+        size = 0.0
+        for k, c in enumerate(tm.poly_coeffs):
+            if not c:
+                continue
+            tau = min(k / kappa, span)
+            log = math.log(abs(c)) - kappa * tau
+            if k:
+                log += k * math.log(tau)
+            size += math.exp(log)
+        total += len(tm.poly_coeffs) * size
+    return _EPS * total

@@ -7,10 +7,10 @@ transmissions, and `diagrams.class_rows` turns each such polynomial into
 its merged closed-form coefficients at once, since the class terms are
 linear in the class weights. Each polynomial's rows go under the key (its
 delay, pole, carrier, causality); `merge_terms` sums the rows of crossing
-vectors that share a delay, and `core.packed_series` makes one
-DelayedTerm per merged row and packs the rows once into the arrays that
-every evaluation and the rounding bound read. A merged series whose
-a-priori rounding bound exceeds ROUNDING_TOL raises IllConditioned.
+vectors that share a delay into one DelayedTerm per key, and those terms
+are the series that every evaluation and the rounding bound read. A merged
+series whose a-priori rounding bound exceeds ROUNDING_TOL raises
+IllConditioned.
 
 The field is the qubits' emission. By the waveguide input-output relation
 (Fan, Kocabas & Shen, Phys. Rev. A 82, 063821 (2010))
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition,
-                   TimeSeriesAmplitude, packed_series, rounding_bound)
+                   TimeSeriesAmplitude, rounding_bound)
 from .diagrams import class_polynomials, class_rows, start_pulse
 from .errors import IllConditioned
 # Unused here: kept only because perfbench/tracing.py wraps these names and
@@ -68,24 +68,24 @@ class FieldProfile:
         return self.xs, self.psi_right, self.psi_left
 
 
-def merge_terms(groups) -> list[tuple[tuple, list[complex]]]:
-    """Merge grouped coefficient rows into one row per group.
+def merge_terms(groups) -> tuple[DelayedTerm, ...]:
+    """Merge grouped coefficient rows into one term per group.
 
     `groups` maps a (delay, pole, carrier, anti_causal) key to its rows, in
     class order. Each group's rows are summed in that order, groups whose
     coefficients all fall below 1e-300 are dropped, and the rest are sorted
-    by (delay, pole): one term per front, as (key, coefficients) pairs.
+    by (delay, pole): one DelayedTerm per front.
     """
     out = []
-    for key, rows in groups.items():
+    for (delay, pole, carrier, anti), rows in groups.items():
         acc = [0j] * max(map(len, rows))
         for row in rows:
             acc[:len(row)] = [a + c for a, c in zip(acc, row)]
         if all(abs(c) < 1e-300 for c in acc):
             continue
-        out.append((key, acc))
-    out.sort(key=lambda kc: (kc[0][0], kc[0][1].real, kc[0][1].imag))
-    return out
+        out.append(DelayedTerm(delay, pole, tuple(acc), carrier, anti))
+    out.sort(key=lambda tm: (tm.delay, tm.pole.real, tm.pole.imag))
+    return tuple(out)
 
 
 def excitation_amplitude(cfg: ChainConfig, init: InitialCondition,
@@ -119,8 +119,8 @@ def _class_pass(cfg: ChainConfig, init: InitialCondition,
     `diagrams.class_rows` turns each such polynomial into its merged rows
     at once. The rows go under the key (delay, pole, carrier, causality),
     in the program's (delay, crossings) order; `merge_terms` sums each
-    key's rows (crossing vectors may share a delay on uneven chains) and
-    `core.packed_series` packs the merged rows once.
+    key's rows (crossing vectors may share a delay on uneven chains) into
+    one term.
     """
     groups: dict[int, dict[tuple, list]] = {q: {} for q in qubits}
     polys = class_polynomials(cfg, init, qubits, t_f)
@@ -129,7 +129,7 @@ def _class_pass(cfg: ChainConfig, init: InitialCondition,
         for pole, coeffs in rows:
             group.setdefault((c.delay, pole, cfg.omega, False),
                              []).append(coeffs)
-    return {q: packed_series(merge_terms(g), label=f"e:{q}")
+    return {q: TimeSeriesAmplitude(merge_terms(g), label=f"e:{q}")
             for q, g in groups.items()}
 
 

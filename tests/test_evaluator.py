@@ -1,5 +1,6 @@
 import math
-from dataclasses import dataclass, replace
+import warnings
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from wqed.core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
 from wqed.diagrams import class_terms, diagram_classes, start_pulse
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
-from wqed import _kernels, core, evaluator, fermi, momentum, oracle
+from wqed import _kernels, evaluator, fermi, momentum, oracle
 from wqed.errors import HorizonTooLarge, IllConditioned
 
 J0 = 1.0
@@ -302,6 +303,21 @@ def test_rounding_bound_covers_the_kernel(n, start, t_f, omega):
         assert err < rounding_bound(amp, t_f)
 
 
+def test_rounding_bound_skips_anti_causal_terms():
+    """An anti-causal term (kappa < 0) has no causal support to bound: alone
+    it adds nothing, next to a causal term the bound is the causal part's,
+    and no logarithm of a negative tau is taken."""
+    causal = DelayedTerm(0.0, -1j, (1.0, -2.0, 0.5), 3.0)
+    anti = DelayedTerm(0.5, 1j, (1.0, 1.0), 0.0, anti_causal=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = rounding_bound(TimeSeriesAmplitude((anti,)), 4.0)
+        mixed = rounding_bound(TimeSeriesAmplitude((causal, anti)), 4.0)
+        part = rounding_bound(TimeSeriesAmplitude((causal,)), 4.0)
+    assert alone == 0.0
+    assert math.isfinite(mixed) and mixed == part > 0
+
+
 @pytest.mark.parametrize("init", [
     InitialCondition.excited(1),
     InitialCondition.incident(PulseSpec(0.7, 1.0, "right")),
@@ -333,9 +349,9 @@ def test_norm_reads_populations_with_the_field(monkeypatch, n, init):
     points = []
     kernel = _kernels.eval_terms_grid
 
-    def counted(packed, ts):
+    def counted(terms, ts):
         points.append(len(ts))
-        return kernel(packed, ts)
+        return kernel(terms, ts)
 
     monkeypatch.setattr(_kernels, "eval_terms_grid", counted)
     got = total_norm(cfg_n, init, t)
@@ -490,19 +506,12 @@ def _term_keys(series):
 
 
 def _assert_same_terms(got, want):
-    """Term for term and bit for bit, pack included."""
+    """Term for term and bit for bit."""
     assert len(got.terms) == len(want.terms)
     for g, w in zip(got.terms, want.terms):
         assert ((g.delay, g.pole, g.carrier, g.anti_causal)
                 == (w.delay, w.pole, w.carrier, w.anti_causal))
         assert np.array_equal(_bits(g.poly_coeffs), _bits(w.poly_coeffs))
-    if want.terms:
-        gp, wp = got.packed, core._pack_terms(want.terms)
-        assert np.array_equal(gp.delays, wp.delays)
-        assert np.array_equal(_bits(gp.poles), _bits(wp.poles))
-        assert np.array_equal(_bits(gp.coeffs), _bits(wp.coeffs))
-        assert np.array_equal(gp.anti, wp.anti)
-        assert gp.tops == wp.tops
 
 
 _eighths = st.integers(1, 16).map(lambda k: k / 8)
@@ -560,6 +569,82 @@ def test_class_pass_matches_term_objects(case):
         assert np.all(np.abs(got[q](ts) - want[q](ts)) <= tol)
 
 
+def _numpy_bound(series, t_f):
+    """`rounding_bound` as numpy reductions over zero-padded arrays of all
+    the series' terms: the form it had before it became a loop over the
+    terms, kept as its reference (causal series only)."""
+    if not series.terms:
+        return 0.0
+    width = max(len(tm.poly_coeffs) for tm in series.terms)
+    coeffs = np.array([tm.poly_coeffs + (0j,) * (width - len(tm.poly_coeffs))
+                       for tm in series.terms], dtype=complex)
+    kappa = -np.array([tm.pole.imag for tm in series.terms])[:, None]
+    delays = np.array([tm.delay for tm in series.terms])
+    k = np.arange(width)
+    tau = np.minimum(k / kappa, (t_f - delays)[:, None])
+    with np.errstate(divide="ignore"):
+        log = (np.log(np.abs(coeffs))
+               + k * np.log(tau, out=np.zeros_like(tau), where=k > 0)
+               - kappa * tau)
+    size = np.array([len(tm.poly_coeffs) for tm in series.terms])
+    return float(np.finfo(float).eps
+                 * (size * np.exp(log).sum(axis=1)).sum())
+
+
+def _assert_bound_parity(series, t_f):
+    got, want = rounding_bound(series, t_f), _numpy_bound(series, t_f)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
+    assert ((got > evaluator.ROUNDING_TOL)
+            == (want > evaluator.ROUNDING_TOL))
+
+
+def _ladder_edge(n, gaps, init, t_f):
+    return (ChainConfig(n, 10.0, J0, 0.0, positions=tuple(
+        float(x) for x in np.cumsum([0.0] + list(gaps)))), init, t_f)
+
+
+_PULSE_EDGES = [InitialCondition.incident(PulseSpec(s, 0.125, d))
+                for s, d in ((0.2, "right"), (0.8, "left"), (1.25, "right"),
+                             (5.0, "left"))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_class_pass_cases())
+# the refused and sigma == J0 examples of test_class_pass_matches_term_objects
+@example(_pulse_case(2, 1.001, 8.0))
+@example(_pulse_case(2, 0.9, 8.0))
+@example(_pulse_case(4, 1.1, 6.0))
+@example(_pulse_case(3, 1.0, 6.0))
+# n = 20 at 60 L, refused
+@example(_ladder_edge(20, [1.0] * 19, InitialCondition.excited(0), 60.0))
+# the benchmark's longest excited rungs, uniform and uneven, and its
+# pulse rung at 3 L with sigma at both edges of its range and its gap
+@example(_ladder_edge(2, [1.0], InitialCondition.excited(0), 24.0))
+@example(_ladder_edge(2, [0.875], InitialCondition.excited(1), 24.0))
+@example(_ladder_edge(3, [1.0] * 2, InitialCondition.excited(1), 12.0))
+@example(_ladder_edge(3, [0.875, 1.125], InitialCondition.excited(0), 12.0))
+@example(_ladder_edge(4, [1.0] * 3, InitialCondition.excited(0), 8.0))
+@example(_ladder_edge(4, [1.125, 0.875, 1.0], InitialCondition.excited(1),
+                      8.0))
+@example(_ladder_edge(8, [1.0] * 7, InitialCondition.excited(3), 6.0))
+@example(_ladder_edge(8, [0.875, 1.125] * 3 + [1.0],
+                      InitialCondition.excited(0), 6.0))
+@example(_ladder_edge(8, [1.0] * 7, _PULSE_EDGES[0], 3.0))
+@example(_ladder_edge(8, [1.0] * 7, _PULSE_EDGES[1], 3.0))
+@example(_ladder_edge(8, [0.875, 1.125] * 3 + [1.0], _PULSE_EDGES[2], 3.0))
+@example(_ladder_edge(8, [1.0] * 7, _PULSE_EDGES[3], 3.0))
+def test_rounding_bound_matches_the_array_form(case):
+    """The loop over the terms gives the padded-array bound within 1e-13
+    and refuses exactly the same series, engine and per-class alike."""
+    cfg, init, t_f = case
+    qubits = tuple(range(cfg.num_qubits))
+    for series in evaluator._class_pass(cfg, init, qubits, t_f).values():
+        _assert_bound_parity(series, t_f)
+    if cfg.num_qubits <= 5:
+        for series in _reference_series(cfg, init, qubits, t_f).values():
+            _assert_bound_parity(series, t_f)
+
+
 def test_merge_terms_sums_in_order_drops_zeros_and_sorts():
     rng = np.random.default_rng(5)
     pole_a, pole_b = -1j, 0.5 - 2j
@@ -574,7 +659,7 @@ def test_merge_terms_sums_in_order_drops_zeros_and_sorts():
     for key, row in zip((keys[i] for i in owner), rows):
         groups.setdefault(key, []).append(row)
         terms.append(DelayedTerm(key[0], key[1], tuple(row), key[2], key[3]))
-    got = core.packed_series(evaluator.merge_terms(groups))
+    got = TimeSeriesAmplitude(evaluator.merge_terms(groups))
     want = TimeSeriesAmplitude(_reference_merge(terms))
     assert len(want.terms) == 3
     _assert_same_terms(got, want)
@@ -695,53 +780,14 @@ def test_merged_class_terms_match_exact_rationals(n, gaps):
 
 
 # ---------------------------------------------------------------------------
-# Each engine series is packed once
+# A series is its terms
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def pack_counts(monkeypatch):
-    """Counts of core._pack_terms calls and of PackedTerms constructions."""
-    counts = {"pack_terms": 0, "packed": []}
-    pack_terms = core._pack_terms
-
-    def counted_pack_terms(terms):
-        counts["pack_terms"] += 1
-        return pack_terms(terms)
-
-    @dataclass(frozen=True)
-    class CountedPackedTerms(_kernels.PackedTerms):
-        def __post_init__(self):
-            counts["packed"].append(self)
-
-    monkeypatch.setattr(core, "_pack_terms", counted_pack_terms)
-    monkeypatch.setattr(_kernels, "PackedTerms", CountedPackedTerms)
-    return counts
-
-
-def test_amplitude_series_are_packed_once(pack_counts):
-    cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
-    for init in (InitialCondition.excited(0),
-                 InitialCondition.incident(PulseSpec(0.6, 0.5, "left"))):
-        pack_counts["packed"].clear()
-        amps = evaluator.amplitudes(cfg3, init, (0, 1, 2), 6.0)
-        ts = np.linspace(0.0, 6.0, 97)
-        for amp in amps.values():
-            amp(ts)
-            amp(2.5)
-            rounding_bound(amp, 6.0)
-        assert all(amp.terms for amp in amps.values())
-        assert ({id(p) for p in pack_counts["packed"]}
-                == {id(amp.packed) for amp in amps.values()})
-        assert len(pack_counts["packed"]) == 3
-    assert pack_counts["pack_terms"] == 0
-
-
-def test_norm_times_reuse_the_engine_packs(pack_counts):
+def test_norm_times_reuse_the_engine_packs():
     cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
     norms = total_norm(cfg3, InitialCondition.excited(1),
                        np.linspace(0.5, 5.0, 5))
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-    assert pack_counts["pack_terms"] == 0
 
 
 def test_before_keeps_the_prefix_and_slices_the_pack(cfg, excited):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqed import _kernels
-from wqed.core import DelayedTerm, _pack_terms, eval_term
+from wqed.core import DelayedTerm, eval_term
 
 _EPS = np.finfo(float).eps
 _TINY = 2.0 ** -1074
@@ -26,35 +27,33 @@ def _random_terms(rng, n=8):
 
 
 # eval_terms_grid as a plain loop: every term over the whole grid, Theta
-# from sign(tau), Horner over all padded coefficients and one exponential
-# per term and point. The sweep multiplies in another order, so the kernel
-# agrees with it within `_agreement_bound`.
-def _padded_reference(packed, t):
+# from sign(tau), Horner over all coefficients and one exponential per term
+# and point. The sweep multiplies in another order, so the kernel agrees
+# with it within `_agreement_bound`.
+def _padded_reference(terms, t):
     out = np.zeros(t.shape[0], dtype=complex)
-    for i in range(packed.delays.shape[0]):
-        tau = t - packed.delays[i]
-        if packed.anti[i]:
+    for tm in terms:
+        tau = t - tm.delay
+        if tm.anti_causal:
             theta = 0.5 * (1.0 - np.sign(tau))
             tau = np.minimum(tau, 0.0)
         else:
             theta = 0.5 * (1.0 + np.sign(tau))
             tau = np.maximum(tau, 0.0)
         poly = np.zeros_like(tau, dtype=complex)
-        for c in packed.coeffs[i, ::-1]:
+        for c in reversed(tm.poly_coeffs):
             poly = poly * tau + c
-        out += theta * poly * np.exp(-1j * packed.poles[i] * tau)
+        out += theta * poly * np.exp(-1j * (tm.pole + tm.carrier) * tau)
     return out
 
 
-def _one(packed, i, poles=None):
-    """Term i of `packed` alone, with its poles replaced if given."""
-    return _kernels.PackedTerms(
-        packed.delays[i:i + 1],
-        packed.poles[i:i + 1] if poles is None else poles,
-        packed.coeffs[i:i + 1], packed.anti[i:i + 1], packed.tops[i:i + 1])
+def _one(terms, i, pole=None):
+    """Term i of `terms` alone, with pole + carrier replaced if given."""
+    tm = terms[i]
+    return (tm if pole is None else replace(tm, pole=pole, carrier=0.0),)
 
 
-def _agreement_bound(packed, t):
+def _agreement_bound(terms, t):
     """Pointwise bound on |eval_terms_grid - _padded_reference|.
 
     Both form the same tau = fl(t - d) and run the same Horner steps on it,
@@ -79,13 +78,13 @@ def _agreement_bound(packed, t):
     """
     finite = t[np.isfinite(t)]
     span = float(np.ptp(finite)) if finite.size else 0.0
-    n = len(packed.tops)
+    n = len(terms)
     bound = np.zeros(t.shape)
-    for i in range(n):
-        term = np.abs(_padded_reference(_one(packed, i), t))
-        poly = np.abs(_padded_reference(_one(packed, i, np.zeros(1)), t))
-        rate = abs(packed.poles[i])
-        tau = np.abs(t - packed.delays[i])
+    for i, tm in enumerate(terms):
+        term = np.abs(_padded_reference(_one(terms, i), t))
+        poly = np.abs(_padded_reference(_one(terms, i, 0j), t))
+        rate = abs(tm.pole + tm.carrier)
+        tau = np.abs(t - tm.delay)
         bound += (_EPS * (n + 11 + 2 * rate * (tau + span)) * term
                   + 4 * _TINY * poly)
     return bound
@@ -95,7 +94,7 @@ def test_grid_eval_matches_term_sum():
     rng = np.random.default_rng(0)
     terms = _random_terms(rng)
     t = np.linspace(-1, 5, 301)
-    got = _kernels.eval_terms_grid(_pack_terms(terms), t)
+    got = _kernels.eval_terms_grid(terms, t)
     want = sum(eval_term(tm, t) for tm in terms)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -110,14 +109,13 @@ def test_grid_eval_matches_term_sum():
         DelayedTerm(2.0, -1j, (0.0, 0.0), 0.0))
     t = rng.permutation(np.concatenate([np.linspace(-4, 8, 97),
                                         [1.5, 0.25, 4.0, 2.0, np.nan]]))
-    packed = _pack_terms(terms)
-    got = _kernels.eval_terms_grid(packed, t)
+    got = _kernels.eval_terms_grid(terms, t)
     want = sum(eval_term(tm, t) for tm in terms)
     assert np.array_equal(np.isfinite(got), np.isfinite(t))
     np.testing.assert_allclose(got, want, atol=1e-12)
-    ref = _padded_reference(packed, t)
+    ref = _padded_reference(terms, t)
     on = np.isfinite(t)
-    assert np.all(np.abs(got - ref)[on] <= _agreement_bound(packed, t)[on])
+    assert np.all(np.abs(got - ref)[on] <= _agreement_bound(terms, t)[on])
 
 
 @pytest.mark.parametrize("anti", [False, True])
@@ -126,9 +124,25 @@ def test_far_off_support_is_exactly_zero(anti):
     tm = DelayedTerm(delay=0.0, pole=2 + (10j if anti else -10j),
                      poly_coeffs=(1.0, 0.5), carrier=1.0, anti_causal=anti)
     t = np.array([100.0, -100.0]) if anti else np.array([-100.0, 100.0])
-    got = _kernels.eval_terms_grid(_pack_terms([tm]), t)
+    got = _kernels.eval_terms_grid([tm], t)
     assert got[0] == 0 and got[1] == 0
     assert np.all(eval_term(tm, t) == 0)
+
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("coeffs", [(1, -2, 0, 3, 0), (0.5, 2.0), (2,)])
+def test_real_and_integer_rows_match_complex_ones(coeffs, anti):
+    """Real and integer coefficients, delays and carriers give the bits of
+    the same term written in complex coefficients and float fields."""
+    t = np.linspace(-2.0, 6.0, 57)
+    pole = 1j if anti else -1j
+    plain = DelayedTerm(1, pole, coeffs, 3, anti_causal=anti)
+    rich = DelayedTerm(1.0, pole, tuple(map(complex, coeffs)), 3.0,
+                       anti_causal=anti)
+    got = _kernels.eval_terms_grid([plain], t)
+    assert np.array_equal(got.view(np.int64),
+                          _kernels.eval_terms_grid([rich], t).view(np.int64))
+    np.testing.assert_allclose(got, eval_term(rich, t), rtol=0, atol=1e-14)
 
 
 @st.composite
@@ -169,19 +183,18 @@ def _sweep_cases(draw):
 @given(_sweep_cases())
 def test_sweep_properties(case):
     terms, t = case
-    packed = _pack_terms(terms)
-    got = _kernels.eval_terms_grid(packed, t)
+    got = _kernels.eval_terms_grid(terms, t)
     # NaN in, NaN out; finite elsewhere
     assert np.array_equal(np.isnan(got), np.isnan(t))
     assert np.all(np.isfinite(got[~np.isnan(t)]))
     # agreement with the plain loop
     on = ~np.isnan(t)
-    err = np.abs(got - _padded_reference(packed, t))[on]
-    assert np.all(err <= _agreement_bound(packed, t)[on])
+    err = np.abs(got - _padded_reference(terms, t))[on]
+    assert np.all(err <= _agreement_bound(terms, t)[on])
     # the same bits whatever the order of the grid
     up = np.argsort(t, kind="stable")
     for order in (up, up[::-1], np.random.default_rng(1).permutation(t.size)):
-        assert np.array_equal(_kernels.eval_terms_grid(packed, t[order]).view(
+        assert np.array_equal(_kernels.eval_terms_grid(terms, t[order]).view(
             np.int64), got[order].view(np.int64))
     # exactly zero off every support
     off = on.copy()
