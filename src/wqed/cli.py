@@ -294,7 +294,7 @@ def _check_no_uhp(cfg) -> dict:
 
 def _check_oracle(cfg, init, horizon) -> dict:
     L = cfg.separation if cfg.num_qubits > 1 else 1.0 / cfg.j0
-    dt = L / 256
+    dt = L / oracle.step_divisor(L, 256, cfg.gamma0)
     hist = oracle.integrate_chain(cfg, init, horizon, dt)
     ts = hist.times()[1:]   # skip t=0, where the closed form takes Theta(0)=0.5
     worst = 0.0

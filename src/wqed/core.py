@@ -213,7 +213,8 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     Algorithms, 2nd ed., ch. 5), so with eps = 2u a term's error is below
     eps (d + 1) sum_k |c_k| tau^k exp(-kappa tau), kappa = -Im pole, and
     tau^k exp(-kappa tau) peaks at tau_k = min(k / kappa, t_f - delay) on
-    the term's support. The bound sums that, in one loop over the terms
+    the term's support (at tau_k = t_f - delay for a term that does not
+    decay, kappa <= 0). The bound sums that, in one loop over the terms
     and their coefficients and in logarithms (tau^k alone overflows for k
     near 171), over the causal terms that switch on before t_f; anti-causal
     terms, which only the backward-time check of a single qubit forms, are
@@ -255,7 +256,7 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
         for k, c in enumerate(tm.poly_coeffs):
             if not c:
                 continue
-            tau = min(k / kappa, span)
+            tau = min(k / kappa, span) if kappa > 0 else span
             log = math.log(abs(c)) - kappa * tau
             if k:
                 log += k * math.log(tau)

@@ -12,14 +12,14 @@ whose photon leaves the chain terminate. Everything with total delay below
 the requested horizon is kept, so the resulting series is exact for t < t_f.
 
 A diagram's rational function depends only on its numbers of transmissions
-and reflections, and its delay only on how often it crosses each gap. The
-qubit amplitudes therefore sum over weighted classes rather than over
-single paths: `class_polynomials`, a dynamic program over (qubit,
-direction, crossings), counts the paths of each finishing qubit and
-crossing vector by #T in exact integers, and `class_rows` writes the
-residues of each such sum of classes in closed form. `diagram_classes`
-and `class_terms` are the per-class views of the two. The field follows
-from the amplitudes (see `evaluator`).
+and reflections, and its delay only on the gaps it crosses. The qubit
+amplitudes therefore sum over weighted classes rather than over single
+paths: `class_polynomials`, a dynamic program over (qubit, direction,
+delay) with delays as exact integers, counts the paths of each finishing
+qubit, delay and number of scatterings by #T in exact integers, and
+`class_rows` writes the residues of each such sum of classes in closed
+form. `diagram_classes` and `class_terms` are the per-class views of the
+two. The field follows from the amplitudes (see `evaluator`).
 `enumerate_diagrams` walks the binary tree path by path, with qubit or field
 finishers whose residues come from `momentum`'s partial fractions, and is
 kept as the reference the classes and the field are tested against.
@@ -36,7 +36,8 @@ from typing import NamedTuple
 from .core import ChainConfig, DelayedTerm, InitialCondition, TimeSeriesAmplitude
 from .errors import GeometryError, HorizonTooLarge
 from .momentum import (_MAX_ORDER, RationalFn, coeff_e, coeff_r, coeff_t,
-                       inverse_transform, mul, pulse_spectrum, simple_pole)
+                       inverse_transform, mul, pulse_prefactor, pulse_spectrum,
+                       simple_pole)
 
 #: Largest number of diagrams (tree walk) or classes (dynamic program) kept
 #: before HorizonTooLarge is raised.
@@ -330,16 +331,13 @@ def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
 
 @dataclass(frozen=True)
 class DiagramClass:
-    """All diagrams sharing a finisher, gap-crossing counts, #T and #R.
+    """All diagrams sharing a finisher, a delay, #T and #R.
 
-    They share one class function (its terms: `class_terms`) and one delay;
-    `weight` is their number. `crossings[g]` counts the hops across the
-    chain's g-th distinct gap length (gaps equal within _GEOM_TOL share a
-    count, in order of first appearance from the left).
+    They share one class function (its terms: `class_terms`); `weight` is
+    their number.
     """
 
     finisher: UnitCell
-    crossings: tuple[int, ...]
     n_t: int
     n_r: int
     delay: float
@@ -348,100 +346,86 @@ class DiagramClass:
 
 
 class ClassPolynomial(NamedTuple):
-    """The qubit-finisher diagrams of one finishing qubit and one crossing
-    vector, counted by their number of transmissions.
+    """The qubit-finisher diagrams of one finishing qubit, one delay and one
+    number of scatterings, counted by their number of transmissions.
 
     `counts[a]` is the number of them with #T = a and #R = scatterings - a;
-    each non-zero entry is one `DiagramClass`, and all share `delay`. The
-    self-decay diagram has a polynomial of its own: counts (1,), no
-    scatterings. A named tuple: a class pass makes hundreds of them.
+    each non-zero entry is one `DiagramClass`. The self-decay diagram has a
+    polynomial of its own: counts (1,), no scatterings. A named tuple: a
+    class pass makes hundreds of them.
     """
 
     qubit: int
-    crossings: tuple[int, ...]
     delay: float
     scatterings: int
     counts: tuple[int, ...]
     self_decay: bool = False
 
 
-def _gap_counters(cfg: ChainConfig) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Distinct gap lengths (equal within _GEOM_TOL) and each gap's index."""
-    gaps: list[float] = []
-    index: list[int] = []
+def _gap_units(cfg: ChainConfig) -> tuple[int, tuple[int, ...]]:
+    """(den, units): each gap as an exact integer number of units of 1/den,
+    den the largest power-of-two denominator of the gap lengths. A gap
+    within _GEOM_TOL of an earlier gap takes that gap's length."""
+    lengths: list[float] = []
     for a, b in zip(cfg.positions, cfg.positions[1:]):
-        for g, length in enumerate(gaps):
-            if abs(b - a - length) <= _GEOM_TOL:
-                index.append(g)
-                break
-        else:
-            index.append(len(gaps))
-            gaps.append(b - a)
-    return tuple(gaps), tuple(index)
+        lengths.append(next((g for g in lengths
+                             if abs(b - a - g) <= _GEOM_TOL), b - a))
+    ratios = [g.as_integer_ratio() for g in lengths]
+    den = max((q for _, q in ratios), default=1)
+    return den, tuple(p * (den // q) for p, q in ratios)
 
 
-def _reach(gaps: tuple[float, ...], gap_index: tuple[int, ...],
-           finishers: frozenset[int], t_f: float) -> tuple[float, ...]:
-    """Each qubit's distance to the nearest finisher, in the gap lengths of
-    `_gap_counters` that the class delays are summed from, less 1e-12 t_f
-    (zero for the finishers themselves; inf if no finisher is a qubit of
-    the chain).
-
-    A delay is a sum of one product per distinct gap length and rounds by
-    far less than that margin, so a state whose delay plus its reach
-    reaches t_f leads to no class below t_f.
-    """
-    along = [0.0]
-    for g in gap_index:
-        along.append(along[-1] + gaps[g])
+def _reach(units: tuple[int, ...], finishers: frozenset[int]) -> tuple:
+    """Each qubit's distance to the nearest finisher in the units of
+    `_gap_units` (inf if no finisher is a qubit of the chain): a path to a
+    finisher crosses every gap in between."""
+    along = list(itertools.accumulate(units, initial=0))
     marks = [along[f] for f in finishers if 0 <= f < len(along)]
-    return tuple(max(0.0, min((abs(x - y) for y in marks), default=math.inf)
-                     - 1e-12 * t_f) for x in along)
+    return tuple(min((abs(x - y) for y in marks), default=math.inf)
+                 for x in along)
 
 
 def class_polynomials(cfg: ChainConfig, init: InitialCondition,
                       qubits: tuple[int, ...],
                       t_f: float) -> list[ClassPolynomial]:
     """The qubit-finisher diagrams of `enumerate_diagrams` for every index in
-    `qubits`, as one path-count polynomial per finishing qubit and crossing
-    vector.
+    `qubits`, as one path-count polynomial per finishing qubit, delay and
+    number of scatterings.
 
-    A dynamic program over the states (qubit, direction, crossing counts),
-    one hop at a time. Each state carries P, its exact path counts by #T: a
-    transmission maps P to [0] + P and a reflection keeps it, and #R is
-    E - #T, with the number E of scatterings fixed by the crossings (hops
-    - 1 after an excited start, hops for a pulse). Polynomials are emitted
-    by the same rules as the tree walk. A state is dropped once its delay
-    plus its distance to the nearest finisher (`_reach`) reaches t_f.
-    Sorted by delay, then crossings, then qubit. Raises HorizonTooLarge
-    past DIAGRAM_CAP classes, i.e. non-zero counts.
+    A dynamic program over the states (qubit, direction, delay d), one hop
+    at a time, with d an exact integer in the units of `_gap_units`. Each
+    state carries P, its exact path counts by #T: a transmission maps P to
+    [0] + P and a reflection keeps it, and #R is E - #T, with E the number
+    of scatterings (hops - 1 after an excited start, hops for a pulse),
+    the same for every state of one hop. Polynomials are emitted by the
+    same rules as the tree walk. A state is dropped once offset + (d +
+    reach) / den reaches t_f, with `_reach` its distance to the nearest
+    finisher: a class's delay offset + d / den is monotone in d, so no
+    class below t_f is lost. Sorted by delay, then scatterings, then
+    qubit. Raises HorizonTooLarge past DIAGRAM_CAP classes, i.e. non-zero
+    counts.
     """
     if not 0 < t_f < math.inf:
         raise ValueError("t_f must be positive and finite")
     finishers = frozenset(qubits)
-    counters = _gap_counters(cfg)
-    polys, _ = _class_dp(cfg, init, finishers, t_f, counters,
-                         _reach(*counters, finishers, t_f))
+    units = _gap_units(cfg)
+    polys, _ = _class_dp(cfg, init, finishers, t_f, units,
+                         _reach(units[1], finishers))
     return polys
 
 
 def _class_dp(cfg: ChainConfig, init: InitialCondition,
               finishers: frozenset[int], t_f: float,
-              gap_counters: tuple[tuple[float, ...], tuple[int, ...]],
-              reach: tuple[float, ...]) -> tuple[list[ClassPolynomial], int]:
+              units: tuple[int, tuple[int, ...]],
+              reach: tuple) -> tuple[list[ClassPolynomial], int]:
     """`class_polynomials` for the per-qubit distances `reach`, which may
     understate the true ones (all zero: no light-cone prune), and the
     number of states the program visited."""
     n = cfg.num_qubits
-    gaps, gap_index = gap_counters
+    den, gaps = units
     excited = init.kind == "excited_qubit"
     offset = 0.0 if excited else init.pulse.x0
-    zero = (0,) * len(gaps)
-    # crossing vectors by number, with their delays and, per gap, the
-    # number of the vector one more hop across that gap (None: not made)
-    vectors, delays, ids = [zero], [offset], {zero: 0}
-    after: list[list[int | None]] = [[None] * len(gaps)]
-    emitted: dict[tuple, list[int]] = {}      # (qubit, vector) -> P
+    emitted: dict[tuple, list[int]] = {}      # (delay, E, qubit) -> P
     classes = 0
     out = []
 
@@ -458,62 +442,50 @@ def _class_dp(cfg: ChainConfig, init: InitialCondition,
             raise HorizonTooLarge(f"diagram class cap {DIAGRAM_CAP} exceeded "
                                   f"before t_f={t_f}")
 
-    def hop(states, at, direction, v, p, transmit):
+    def hop(states, at, direction, d, p, transmit):
         nxt = at + direction
         if not 0 <= nxt < n:
             return  # photon leaves the system, branch terminates
-        g = gap_index[at if direction == 1 else nxt]
-        w = after[v][g]
-        if w is None:
-            counts = list(vectors[v])
-            counts[g] += 1
-            counts = tuple(counts)
-            w = ids.get(counts)
-            if w is None:
-                w = ids[counts] = len(vectors)
-                vectors.append(counts)
-                delays.append(offset + sum(c * length for c, length
-                                           in zip(counts, gaps)))
-                after.append([None] * len(gaps))
-            after[v][g] = w
-        if delays[w] + reach[nxt] < t_f:
+        d += gaps[at if direction == 1 else nxt]
+        if offset + (d + reach[nxt]) / den < t_f:
             if transmit:
                 p = [0] + p
-            key = (nxt, direction, w)
+            key = (nxt, direction, d)
             old = states.get(key)
             states[key] = p if old is None else [
                 x + y for x, y in itertools.zip_longest(old, p, fillvalue=0)]
 
-    # states of one hop count: (qubit, direction, vector) -> P
+    # states of one hop count: (qubit, direction, delay) -> P
     states: dict[tuple, list[int]] = {}
     if excited:
         src = init.qubit
         if src in finishers:
             classes = 1
-            out.append(ClassPolynomial(src, zero, offset, 0, (1,), True))
+            out.append(ClassPolynomial(src, offset, 0, (1,), True))
         for direction in (1, -1):
             hop(states, src, direction, 0, [1], False)
     else:
         direction = 1 if init.pulse.direction == "right" else -1
         entry = 0 if direction == 1 else n - 1
-        if offset + reach[entry] < t_f:
+        if offset + reach[entry] / den < t_f:
             states[(entry, direction, 0)] = [1]
 
     visited = 0
+    e = 0                   # scatterings on the paths of this hop's states
     while states:
         visited += len(states)
         following: dict[tuple, list[int]] = {}
-        for (at, direction, v), p in states.items():
+        for (at, direction, d), p in states.items():
             if at in finishers:
-                emit((at, v), p)
-            hop(following, at, direction, v, p, True)
-            hop(following, at, -direction, v, p, False)
+                emit((d, e, at), p)
+            hop(following, at, direction, d, p, True)
+            hop(following, at, -direction, d, p, False)
         states = following
+        e += 1
 
-    out += [ClassPolynomial(at, vectors[v], delays[v],
-                            sum(vectors[v]) - excited, tuple(p))
-            for (at, v), p in emitted.items()]
-    out.sort(key=lambda c: (c.delay, c.crossings, c.qubit))
+    out += [ClassPolynomial(at, offset + d / den, scatterings, tuple(p))
+            for (d, scatterings, at), p in emitted.items()]
+    out.sort(key=lambda c: (c.delay, c.scatterings, c.qubit))
     return out, visited
 
 
@@ -527,8 +499,7 @@ def diagram_classes(cfg: ChainConfig, init: InitialCondition,
     classes.
     """
     return [DiagramClass(UnitCell(CellKind.FINISH_QUBIT, qubit=c.qubit),
-                         c.crossings, a, c.scatterings - a, c.delay, w,
-                         c.self_decay)
+                         a, c.scatterings - a, c.delay, w, c.self_decay)
             for c in class_polynomials(cfg, init, qubits, t_f)
             for a, w in enumerate(c.counts) if w]
 
@@ -546,8 +517,10 @@ def _class_start(cfg: ChainConfig,
     j0 = cfg.j0
     if init.kind == "excited_qubit":
         return complex(j0), None
-    (p,) = start_pulse(cfg, init.pulse).f.numer
-    sigma = init.pulse.sigma
+    spec = init.pulse
+    entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
+    p = pulse_prefactor(spec, cfg.omega, cfg.positions[entry])
+    sigma = spec.sigma
     return p * math.sqrt(j0), None if sigma == j0 else sigma
 
 

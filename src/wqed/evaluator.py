@@ -2,15 +2,15 @@
 
 Qubit excitation amplitudes are direct sums of finished diagram classes.
 One integer dynamic program (`diagrams.class_polynomials`) counts, for
-every finishing qubit and crossing vector, the paths by their number of
-transmissions, and `diagrams.class_rows` turns each such polynomial into
-its merged closed-form coefficients at once, since the class terms are
-linear in the class weights. Each polynomial's rows go under the key (its
-delay, pole, carrier, causality); `merge_terms` sums the rows of crossing
-vectors that share a delay into one DelayedTerm per key, and those terms
-are the series that every evaluation and the rounding bound read. A merged
-series whose a-priori rounding bound exceeds ROUNDING_TOL raises
-IllConditioned.
+every finishing qubit, exact delay and number of scatterings, the paths by
+their number of transmissions, and `diagrams.class_rows` turns each such
+polynomial into its merged closed-form coefficients at once, since the
+class terms are linear in the class weights. Each polynomial's rows go
+under the key (its delay, pole, carrier, causality); `merge_terms` sums
+the rows of different numbers of scatterings that share a delay into one
+DelayedTerm per key, and those terms are the series that every evaluation
+and the rounding bound read. A merged series whose a-priori rounding bound
+exceeds ROUNDING_TOL raises IllConditioned.
 
 The field is the qubits' emission. By the waveguide input-output relation
 (Fan, Kocabas & Shen, Phys. Rev. A 82, 063821 (2010))
@@ -39,8 +39,9 @@ import numpy as np
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition,
                    TimeSeriesAmplitude, rounding_bound)
-from .diagrams import class_polynomials, class_rows, start_pulse
+from .diagrams import class_polynomials, class_rows
 from .errors import IllConditioned
+from .momentum import pulse_prefactor
 # Unused here: kept only because perfbench/tracing.py wraps these names and
 # its self-test requires every wrap target to exist.
 from .diagrams import (enumerate_diagrams, field_terms,  # noqa: F401
@@ -115,12 +116,12 @@ def _class_pass(cfg: ChainConfig, init: InitialCondition,
     """The merged series of `qubits` through t_f, without the rounding check.
 
     One integer dynamic program (`diagrams.class_polynomials`) counts the
-    paths of every (finishing qubit, crossing vector) by #T, and
-    `diagrams.class_rows` turns each such polynomial into its merged rows
-    at once. The rows go under the key (delay, pole, carrier, causality),
-    in the program's (delay, crossings) order; `merge_terms` sums each
-    key's rows (crossing vectors may share a delay on uneven chains) into
-    one term.
+    paths of every (finishing qubit, delay, number of scatterings) by #T,
+    and `diagrams.class_rows` turns each such polynomial into its merged
+    rows at once. The rows go under the key (delay, pole, carrier,
+    causality), in the program's (delay, scatterings) order; `merge_terms`
+    sums each key's rows (different numbers of scatterings may share a
+    delay on uneven chains) into one term.
     """
     groups: dict[int, dict[tuple, list]] = {q: {} for q in qubits}
     polys = class_polynomials(cfg, init, qubits, t_f)
@@ -183,7 +184,7 @@ def _segments(cfg: ChainConfig, init: InitialCondition, t: float,
         sign = -1.0 if spec.direction == "right" else 1.0
         entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
         # the spectrum P / (D + i sigma) at the entry qubit, from x0 on
-        (p,) = start_pulse(cfg, spec).f.numer
+        p = pulse_prefactor(spec, cfg.omega, cfg.positions[entry])
         term = DelayedTerm(spec.x0, -1j * spec.sigma, (-1j * p,), cfg.omega)
         out[spec.direction].append((math.inf, t - sign * cfg.positions[entry],
                                     1.0, TimeSeriesAmplitude((term,))))
@@ -395,8 +396,10 @@ def _light_cone(cfg: ChainConfig, init: InitialCondition, qubit: int) -> float:
     if init.kind == "excited_qubit":
         d = abs(xq - cfg.positions[init.qubit])
     else:
-        state = start_pulse(cfg, init.pulse)
-        d = abs(xq - state.position)
+        spec = init.pulse
+        sign = 1.0 if spec.direction == "right" else -1.0
+        entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
+        d = abs(xq - (cfg.positions[entry] - sign * spec.x0))    # the front
     if d <= 0:
         raise ValueError("probe qubit coincides with the excitation source")
     return d

@@ -267,10 +267,16 @@ def pulse_spectrum(p: PulseSpec, cfg_omega: float, entry_position: float
     frame-by-frame eigenstate expansion dictates.
 
     The spectrum sqrt(2*sigma)/(sigma - i*D) has its single pole at -i*sigma,
-    in the lower half-plane.
+    in the lower half-plane; its numerator is `pulse_prefactor`.
     """
+    return (simple_pole(pulse_prefactor(p, cfg_omega, entry_position),
+                        -1j * p.sigma), p.x0)
+
+
+def pulse_prefactor(p: PulseSpec, cfg_omega: float,
+                    entry_position: float) -> complex:
+    """The numerator of `pulse_spectrum`'s simple pole."""
     sign = 1.0 if p.direction == "right" else -1.0
     front = entry_position - sign * p.x0
     phase = np.exp(sign * 1j * cfg_omega * front)
-    pref = 1j * math.sqrt(2 * p.sigma) * phase
-    return simple_pole(pref, -1j * p.sigma), p.x0
+    return complex(1j * math.sqrt(2 * p.sigma) * phase)

@@ -38,6 +38,8 @@ from .core import ChainConfig, InitialCondition
 from .errors import NonConvergence, OutOfRange, StepTooLarge
 
 _MESH_RTOL = 1e-9
+#: Largest dt * gamma0 that `integrate_chain` accepts.
+_MAX_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,8 @@ def integrate_chain(cfg: ChainConfig, init: InitialCondition, t_f: float,
     """Integrate the delayed amplitude equations up to t_f with step dt."""
     if t_f <= 0 or dt <= 0:
         raise ValueError("t_f and dt must be positive")
-    if dt > 0.05 / cfg.gamma0:
-        raise StepTooLarge(f"dt={dt} exceeds 0.05/gamma0")
+    if dt > _MAX_STEP / cfg.gamma0:
+        raise StepTooLarge(f"dt={dt} exceeds {_MAX_STEP}/gamma0")
     nq = cfg.num_qubits
     delay_steps = np.zeros((nq, nq), dtype=np.int64)
     phase = np.zeros((nq, nq), dtype=complex)
@@ -146,6 +148,15 @@ def integrate_chain(cfg: ChainConfig, init: InitialCondition, t_f: float,
                                      cfg.gamma0 / 2.0, amp, sigma, arrival)
     return DDEHistory(dt=dt, omega=cfg.omega, alpha=alpha,
                       f_right=fr, f_left=fl)
+
+
+def step_divisor(L: float, m: int, gamma0: float) -> int:
+    """m 2^k for the smallest k >= 0 with L / (m 2^k) <= 0.05 / gamma0: the
+    step L / (m 2^k) divides every multiple of L and keeps within
+    `integrate_chain`'s limit."""
+    while L / m > _MAX_STEP / gamma0:
+        m *= 2
+    return m
 
 
 def single_qubit_alpha(t, gamma0: float, mode: str = "closed",
@@ -237,7 +248,9 @@ def convergence_study(cfg: ChainConfig, init: InitialCondition, t_f: float,
     # lone qubit has no delay mesh to honor; pick a step base small enough
     # for the coarsest fraction to satisfy the 0.05/gamma0 limit
     L = cfg.separation if cfg.num_qubits > 1 else 0.8 / cfg.gamma0
-    dts = [L / f for f in fractions]
+    # refine every fraction by the power of two the coarsest one needs
+    scale = step_divisor(L, min(fractions), cfg.gamma0) // min(fractions)
+    dts = [L / (f * scale) for f in fractions]
     errors = []
     for dt in dts:
         hist = integrate_chain(cfg, init, t_f, dt)

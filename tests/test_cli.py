@@ -255,12 +255,15 @@ def test_integral_float_config_matches_integer_twin(tmp_path, capsys, argv,
     assert outputs[0] == outputs[1]
 
 
-def test_cli_import_leaves_jsonschema_out():
+@pytest.mark.parametrize("module", ["jsonschema", "fractions", "decimal"])
+def test_cli_import_leaves_jsonschema_out(module):
+    """Each of these costs milliseconds of import time that no command
+    needs (fractions alone adds about 3 ms after numpy)."""
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import wqed, wqed.cli, sys; print('jsonschema' in sys.modules)"],
+         f"import wqed, wqed.cli, sys; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
 
@@ -367,6 +370,18 @@ def test_check_oracle_passes(tmp_path, capsys):
     rc = cli.main(["check", "--what", "oracle", conf])
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
+    assert report["max_error"] < 1e-5
+
+
+def test_check_oracle_refines_a_long_step(tmp_path, capsys):
+    """Separation 10: L/256 breaks the integrator's 0.05/gamma0 limit, so
+    the check halves it to L/512."""
+    conf = _write_config(tmp_path, chain={"n": 2, "omega": 3.7, "j0": 1.0,
+                                          "separation": 10.0}, horizon=30.0)
+    rc = cli.main(["check", "--what", "oracle", conf])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["dt"] == 10.0 / 512
     assert report["max_error"] < 1e-5
 
 

@@ -354,7 +354,7 @@ def test_classes_match_tree_walk(case):
         == walks[qubit]
     classes = diagram_classes(cfg, init, tuple(range(n)), t_f)
     assert _class_counts(classes) == sum(walks, Counter())
-    keys = {(c.finisher, c.crossings, c.n_t, c.n_r, c.self_decay)
+    keys = {(c.finisher, c.delay, c.n_t, c.n_r, c.self_decay)
             for c in classes}
     assert len(keys) == len(classes)
 
@@ -401,17 +401,35 @@ def test_class_figures_at_24L(n, classes, paths):
     assert sum(c.weight for c in got) == paths
 
 
-def test_float_spacing_shares_one_gap_counter():
+def test_float_spacing_shares_one_gap_length():
     """Positions m * 0.1 have gaps that differ in the last bits; they still
-    collapse to one crossing count, as the exact spacing 1 does."""
+    collapse to one gap length, as the exact spacing 1 does."""
     counts = []
     for sep in (1.0, 0.1):
         cfg = ChainConfig(8, 4.0, 1.0, sep)
         classes = diagram_classes(cfg, InitialCondition.excited(0), (7,),
                                   24.0 * sep)
-        assert all(len(c.crossings) == 1 for c in classes)
+        assert len(set(diagrams._gap_units(cfg)[1])) == 1
         counts.append(len(classes))
     assert counts == [36, 36]
+
+
+def test_uneven_classes_are_keyed_on_the_delay():
+    """Gaps 7/8, 9/8 and 1 L: crossing the first two gaps once each takes
+    as long as crossing the third twice, so different gap crossings share a
+    delay. The program keeps one polynomial per (qubit, delay, scatterings)
+    and its classes still count the tree walk's paths."""
+    cfg = ChainConfig(4, 4.0, 1.0, 0.0, positions=(0.0, 0.875, 2.0, 3.0))
+    init = InitialCondition.excited(0)
+    polys = diagrams.class_polynomials(cfg, init, (0, 1, 2, 3), 12.0)
+    keys = {(c.qubit, c.delay, c.scatterings) for c in polys}
+    assert len(keys) == len(polys) == 114
+    walks = sum((_tree_counts(enumerate_diagrams(
+        cfg, init, FinisherSpec("qubit", q), 12.0)) for q in range(4)),
+        Counter())
+    assert sum(walks.values()) == 456
+    assert _class_counts(diagram_classes(cfg, init, (0, 1, 2, 3), 12.0)) \
+        == walks
 
 
 def test_class_cap_counts_classes(monkeypatch):
@@ -430,10 +448,10 @@ def _unpruned_and_pruned(cfg, init, qubits, t_f):
     """The class DP's (polynomials, states visited) with all distances to
     a finisher taken as zero, and with the light-cone prune."""
     finishers = frozenset(qubits)
-    counters = diagrams._gap_counters(cfg)
-    return [diagrams._class_dp(cfg, init, finishers, t_f, counters, reach)
-            for reach in ((0.0,) * cfg.num_qubits,
-                          diagrams._reach(*counters, finishers, t_f))]
+    units = diagrams._gap_units(cfg)
+    return [diagrams._class_dp(cfg, init, finishers, t_f, units, reach)
+            for reach in ((0,) * cfg.num_qubits,
+                          diagrams._reach(units[1], finishers))]
 
 
 @pytest.mark.parametrize("finisher", [1, 7])
@@ -453,8 +471,8 @@ def test_light_cone_prune_keeps_every_class(finisher):
 @pytest.mark.parametrize("positions, t_f, qubits", [
     # gaps that differ in the last bits; delays k * 0.1 on both sides of t_f
     (tuple(m * 0.1 for m in range(8)), 2.4, (7,)),
-    # one ulp above the class delay 5 * 0.1: without the prune's margin,
-    # the rounding of the distances would drop states that lead to it
+    # one ulp above the class delay 5 * 0.1: a prune on rounded float
+    # distances would drop states that lead to it
     (tuple(m * 0.1 for m in range(8)), math.nextafter(5 * 0.1, 1.0), (3,)),
     # gaps within _GEOM_TOL share the length 1, so qubit 4 has classes at
     # delay 6 exactly; measured in positions it would lie 1.8e-9 further

@@ -318,6 +318,15 @@ def test_rounding_bound_skips_anti_causal_terms():
     assert math.isfinite(mixed) and mixed == part > 0
 
 
+@pytest.mark.parametrize("pole, size", [(0j, 6.0), (1j, 6 * math.e ** 2)])
+def test_rounding_bound_on_terms_that_do_not_decay(pole, size):
+    """kappa <= 0: tau^k exp(-kappa tau) peaks at the end of the support,
+    tau = 2, so the bound of 1 + tau is 2 (1 + 2) exp(2 Im pole) eps."""
+    term = DelayedTerm(0.0, pole, (1.0, 1.0), 0.0)
+    bound = rounding_bound(TimeSeriesAmplitude((term,)), 2.0)
+    assert bound == pytest.approx(size * np.finfo(float).eps, rel=1e-14)
+
+
 @pytest.mark.parametrize("init", [
     InitialCondition.excited(1),
     InitialCondition.incident(PulseSpec(0.7, 1.0, "right")),

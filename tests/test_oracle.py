@@ -138,11 +138,15 @@ def test_oracle_norm_conservation():
     assert tot == pytest.approx(1.0, abs=1e-4)
 
 
-def test_convergence_study_fourth_order():
-    cfg = ChainConfig.fermi_pair(1.0, 3.7, 0.5)
+@pytest.mark.parametrize("L", [0.5, 1.0])
+def test_convergence_study_fourth_order(L):
+    """At J0 L = 1 the coarsest step L/32 would break the 0.05/gamma0 limit,
+    so every step is halved once."""
+    cfg = ChainConfig.fermi_pair(1.0, 3.7, L)
     rep = oracle.convergence_study(cfg, InitialCondition.excited(0), 3.0)
     assert rep["order"] >= 3.5
     assert rep["errors"] == sorted(rep["errors"], reverse=True)
+    assert rep["dts"][0] <= 0.05 / cfg.gamma0 < 2 * rep["dts"][0]
 
 
 def test_convergence_study_single_qubit():
