@@ -10,10 +10,13 @@
 * ``dde_rk4`` integrates the delayed qubit-amplitude equations with RK4 and
   the method of steps, one block of steps at a time. A block is never longer
   than the shortest cross-qubit delay, so every delayed value it reads is
-  already stored: the cross-qubit forcing of a whole block is computed with
-  array operations, and only each qubit's scalar self-decay recurrence runs
-  step by step (Bellen & Zennaro, *Numerical Methods for Delay Differential
-  Equations*, OUP 2003).
+  already stored: the cross-qubit forcing of a whole block is a few array
+  operations per delay, and the drive is tabulated once per run. What is
+  left of a step is each qubit's own decay, the linear recurrence
+  a_{n+1} = R a_n + f_n, solved in closed form with one cumulative sum per
+  chunk of at most 1/(|g| dt) steps, so that |R|^-m <= e stays in range
+  (Bellen & Zennaro, *Numerical Methods for Delay Differential Equations*,
+  OUP 2003).
 """
 
 from __future__ import annotations
@@ -172,8 +175,14 @@ def _sweep(v, out, terms, kappa):
 # Block scheme: with B the smallest off-diagonal delay in steps, the steps
 # [n0, n0 + B) read cross-qubit history at nodes <= n0 only. Per block, the
 # forcing F_j(c) = b_j - (gamma0/2) * sum_{l != j} K[j,l] alpha_l(delayed)
-# at the stage offsets c = 0, 1/2, 1 is an array expression; the RK4 stages
-# then reduce to the scalar recurrence k = F(c) - (gamma0/2) K[j,j] * stage.
+# at the stage offsets c = 0, 1/2, 1 is an array expression: the history of
+# every qubit is read once per delay, and the node sums also give the
+# one-sided derivatives. The RK4 stages then reduce to the recurrence
+# k = F(c) - g * stage, g = (gamma0/2) K[j,j], whose step is linear:
+# a_{n+1} = R a_n + f_n with R = 1 + z + z^2/2 + z^3/6 + z^4/24, z = -g dt.
+# A chunk of m steps is a_{s+m} = R^m (a_s + sum_{k<m} R^-(k+1) f_{s+k}),
+# one cumulative sum; m <= 1/(|g| dt) bounds |R|^-m by e, so no power of R
+# leaves float range however long the run.
 
 def dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase, half_gamma,
             drive_amp, drive_sigma, drive_arrival):
@@ -195,81 +204,114 @@ def dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase, half_gamma,
         raise ValueError("delay_steps needs a zero diagonal and positive "
                          "off-diagonal entries")
     block = int(delay_steps[cross].min()) if nq > 1 else max(nsteps, 1)
-    pairs = [(j, l, int(delay_steps[j, l]), complex(kernel_phase[j, l]))
-             for j in range(nq) for l in range(nq) if l != j]
+    # the pairs (j, l) by delay m and by side: a row j occurs once in a
+    # group, so one indexed add sums the group's pairs
+    by_key = {}
+    for j, l in zip(*np.nonzero(cross)):
+        by_key.setdefault((int(delay_steps[j, l]), l < j), []).append((j, l))
+    groups = []
+    for (m, _), pairs in sorted(by_key.items()):
+        js, ls = np.array(pairs).T
+        groups.append((m, js, ls, kernel_phase[js, ls]))
     self_phase = np.diag(kernel_phase)
-    self_rate = (half_gamma * self_phase).tolist()
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
 
-    def drive(times, starts):
-        """b_j at `times`, (nq, nb); on where the step start >= arrival."""
-        on = ((drive_amp != 0)[:, None]
-              & (starts[None, :] >= drive_arrival[:, None]))
-        lag = np.where(on, times[None, :] - drive_arrival[:, None], 0.0)
-        return np.where(on, drive_amp[:, None] * np.exp(-drive_sigma * lag),
-                        0.0)
+    # one RK4 step of a' = F(c) - g a is linear: a_{n+1} = R a_n + f_n with
+    # f_n = w0 F_n(0) + wh F_n(1/2) + w1 F_n(1); R and the w are one step
+    # on the unit inputs (a, F(0), F(1/2), F(1)), for all qubits at once
+    g = half_gamma * self_phase
+    a, c0, ch, c1 = np.eye(4, dtype=np.complex128)[:, :, None]
+    k1 = c0 - g * a
+    k2 = ch - g * (a + 0.5 * dt * k1)
+    k3 = ch - g * (a + 0.5 * dt * k2)
+    k4 = c1 - g * (a + dt * k3)
+    R, w0, wh, w1 = a + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # a_{s+m} = R^m (a_s + sum_{k<m} R^-(k+1) f_{s+k}): one cumsum per chunk
+    # of at most 1/(|g| dt) steps keeps |R|^-m <= e
+    rate = float(np.abs(g).max()) * dt
+    chunk = max(1, min(block, nsteps, int(1.0 / rate) if rate else nsteps))
+    power = np.arange(1, chunk + 1)[:, None] * np.log(R)
+    grow, shrink = np.exp(power), np.exp(-power)
+
+    # the drive b_j, once per run: at each node t_p, on where t_p >= arrival
+    # (right derivative) or t_{p-1} >= arrival (left), and its share of f_n
+    # from the stages at t_n, t_n + dt/2 and t_n + dt, on where t_n >= arrival
+    driven = bool(np.any(drive_amp != 0))
+    if driven:
+        t = np.arange(nsteps + 1) * dt
+        on = (drive_amp != 0) & (t[:, None] >= drive_arrival)
+
+        def drive(times, on):
+            lag = np.where(on, times[:, None] - drive_arrival, 0.0)
+            return np.where(on, drive_amp * np.exp(-drive_sigma * lag), 0.0)
+
+        drive_right = drive(t, on)
+        drive_left = np.where(on[:-1], drive_right[1:], 0.0)
+        drive_step = (w0 * drive_right[:-1]
+                      + wh * drive(t[:-1] + 0.5 * dt, on[:-1])
+                      + w1 * drive(t[:-1] + dt, on[:-1]))
 
     alpha = np.zeros((nsteps + 1, nq), dtype=np.complex128)
     f_right = np.zeros((nsteps + 1, nq), dtype=np.complex128)
     f_left = np.zeros((nsteps + 1, nq), dtype=np.complex128)
     alpha[0] = alpha0
     # node derivatives at t = 0 (right: step-start activity n >= m; left: n > m)
-    zero = np.zeros(1)
-    f_right[0] = drive(zero, zero)[:, 0] - half_gamma * self_phase * alpha0
+    f_right[0] = -half_gamma * self_phase * alpha0
+    if driven:
+        f_right[0] += drive_right[0]
 
     for n0 in range(0, nsteps, block):
         n1 = min(n0 + block, nsteps)
-        t = np.arange(n0, n1) * dt
+        nb = n1 - n0
 
-        # cross-qubit sums at c = 0, 1/2, 1 over steps n >= m; every lookup
-        # ends at node n0
-        acc0, acch, acc1 = (np.zeros((nq, n1 - n0), dtype=np.complex128)
-                            for _ in range(3))
-        for j, l, m, k in pairs:
-            first = max(n0, m)
-            if first >= n1:
-                continue
-            lo, hi = first - m, n1 - m
-            y0, y1 = alpha[lo:hi, l], alpha[lo + 1:hi + 1, l]
-            # cubic Hermite at the midpoint of each [i, i + 1], lo <= i < hi
-            mid = 0.5 * (y0 + y1) + 0.125 * (f_right[lo:hi, l] * dt
-                                              - f_left[lo + 1:hi + 1, l] * dt)
-            acc0[j, first - n0:] += k * y0
-            acch[j, first - n0:] += k * mid
-            acc1[j, first - n0:] += k * y1
-        f0 = drive(t, t) - half_gamma * acc0
-        fh = drive(t + half_dt, t) - half_gamma * acch
-        f1 = drive(t + dt, t) - half_gamma * acc1
+        # cross-qubit sums; every lookup ends at node n0. Node p = n0 + i
+        # takes alpha_l(p - m) from p > m (`left`, the left derivative and
+        # the stage c = 1 of step p - 1) or from p >= m (`right`, the right
+        # derivative and the stage c = 0 of step p); the midpoint of step n
+        # counts from n >= m.
+        left = np.zeros((nb + 1, nq), dtype=np.complex128)
+        mid = np.zeros((nb, nq), dtype=np.complex128)
+        switch = []
+        last = None
+        for m, js, ls, k in groups:
+            if m > n1:
+                break
+            if m != last:
+                first = max(n0, m)
+                y = alpha[first - m:n1 - m + 1]     # nodes first - m .. n1 - m
+                fr = f_right[first - m:n1 - m]
+                fl = f_left[first - m + 1:n1 - m + 1]
+                # cubic Hermite at the midpoint of each [i, i + 1]
+                h = 0.5 * (y[:-1] + y[1:]) + 0.125 * (fr * dt - fl * dt)
+                last = m
+            skip = int(first == m)
+            left[first + skip - n0:, js] += k * y[skip:, ls]
+            mid[first - n0:, js] += k * h[:, ls]
+            if first == m:
+                switch.append((m - n0, js, k * y[0, ls]))
+        right = left
+        if switch:
+            right = left.copy()
+            for i, js, term in switch:
+                right[i, js] += term
 
-        # the sequential part: each qubit's self-decay recurrence
-        for j in range(nq):
-            g = self_rate[j]
-            a = complex(alpha[n0, j])
-            out = []
-            for c0, ch, c1 in zip(f0[j].tolist(), fh[j].tolist(),
-                                  f1[j].tolist()):
-                k1 = c0 - g * a
-                k2 = ch - g * (a + half_dt * k1)
-                k3 = ch - g * (a + half_dt * k2)
-                k4 = c1 - g * (a + dt * k3)
-                a = a + sixth_dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                out.append(a)
-            alpha[n0 + 1:n1 + 1, j] = out
+        f = -half_gamma * (w0 * right[:-1] + wh * mid + w1 * left[1:])
+        if driven:
+            f += drive_step[n0:n1]
 
-        # one-sided derivatives at the new nodes p = n0 + 1 .. n1: a delayed
-        # term counts from p >= m on the right and from p > m on the left
-        acc_r = self_phase * alpha[n0 + 1:n1 + 1]
-        acc_l = acc_r.copy()
-        for j, l, m, k in pairs:
-            first = max(n0 + 1, m)
-            if first > n1:
-                continue
-            term = k * alpha[first - m:n1 + 1 - m, l]
-            acc_r[first - n0 - 1:, j] += term
-            skip = 1 if first == m else 0
-            acc_l[first + skip - n0 - 1:, j] += term[skip:]
-        tp = np.arange(n0 + 1, n1 + 1) * dt
-        f_right[n0 + 1:n1 + 1] = drive(tp, tp).T - half_gamma * acc_r
-        f_left[n0 + 1:n1 + 1] = drive(tp, t).T - half_gamma * acc_l
+        # each qubit's self-decay recurrence, in closed form per chunk
+        a = alpha[n0]
+        for s in range(0, nb, chunk):
+            e = min(s + chunk, nb)
+            a = grow[:e - s] * (a + np.cumsum(shrink[:e - s] * f[s:e], axis=0))
+            alpha[n0 + s + 1:n0 + e + 1] = a
+            a = a[-1]
+
+        # one-sided derivatives at the new nodes p = n0 + 1 .. n1
+        own = self_phase * alpha[n0 + 1:n1 + 1]
+        f_right[n0 + 1:n1 + 1] = -half_gamma * (own + right[1:])
+        f_left[n0 + 1:n1 + 1] = -half_gamma * (own + left[1:])
+        if driven:
+            f_right[n0 + 1:n1 + 1] += drive_right[n0 + 1:n1 + 1]
+            f_left[n0 + 1:n1 + 1] += drive_left[n0:n1]
 
     return alpha, f_right, f_left

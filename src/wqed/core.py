@@ -91,6 +91,19 @@ class PulseSpec:
         if self.direction not in ("right", "left"):
             raise ValueError("direction must be 'right' or 'left'")
 
+    @property
+    def sign(self) -> float:
+        """+1 for a pulse moving right, -1 for one moving left."""
+        return 1.0 if self.direction == "right" else -1.0
+
+    def entry(self, num_qubits: int) -> int:
+        """The qubit the front reaches first."""
+        return 0 if self.direction == "right" else num_qubits - 1
+
+    def front(self, entry_position: float) -> float:
+        """Where the front starts, x0 outside the entry qubit."""
+        return entry_position - self.sign * self.x0
+
 
 @dataclass(frozen=True)
 class InitialCondition:

@@ -183,11 +183,9 @@ def _require_at(cfg: ChainConfig, state: DiagramState, qubit: int | None) -> Non
 
 def start_pulse(cfg: ChainConfig, spec) -> DiagramState:
     """Initial cascade state for an incident pulse (front outside the chain)."""
-    entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
-    f, _ = pulse_spectrum(spec, cfg.omega, cfg.positions[entry])
-    sign = 1.0 if spec.direction == "right" else -1.0
-    front = cfg.positions[entry] - sign * spec.x0
-    return DiagramState(f, 0.0, front, spec.direction)
+    entry = cfg.positions[spec.entry(cfg.num_qubits)]
+    f, _ = pulse_spectrum(spec, cfg.omega, entry)
+    return DiagramState(f, 0.0, spec.front(entry), spec.direction)
 
 
 def finish_excitation(cfg: ChainConfig, d: Diagram) -> TimeSeriesAmplitude:
@@ -319,7 +317,7 @@ def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
     else:
         spec = init.pulse
         state = start_pulse(cfg, spec)
-        entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
+        entry = spec.entry(cfg.num_qubits)
         cells = [UnitCell(CellKind.STARTER_PULSE),
                  UnitCell(CellKind.FREE_PROP, length=spec.x0,
                           branch=spec.direction)]
@@ -465,8 +463,8 @@ def _class_dp(cfg: ChainConfig, init: InitialCondition,
         for direction in (1, -1):
             hop(states, src, direction, 0, [1], False)
     else:
-        direction = 1 if init.pulse.direction == "right" else -1
-        entry = 0 if direction == 1 else n - 1
+        direction = int(init.pulse.sign)
+        entry = init.pulse.entry(n)
         if offset + reach[entry] / den < t_f:
             states[(entry, direction, 0)] = [1]
 
@@ -518,8 +516,8 @@ def _class_start(cfg: ChainConfig,
     if init.kind == "excited_qubit":
         return complex(j0), None
     spec = init.pulse
-    entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
-    p = pulse_prefactor(spec, cfg.omega, cfg.positions[entry])
+    p = pulse_prefactor(spec, cfg.omega,
+                        cfg.positions[spec.entry(cfg.num_qubits)])
     sigma = spec.sigma
     return p * math.sqrt(j0), None if sigma == j0 else sigma
 

@@ -181,12 +181,12 @@ def _segments(cfg: ChainConfig, init: InitialCondition, t: float,
 
     if init.kind == "pulse":
         spec = init.pulse
-        sign = -1.0 if spec.direction == "right" else 1.0
-        entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
-        # the spectrum P / (D + i sigma) at the entry qubit, from x0 on
-        p = pulse_prefactor(spec, cfg.omega, cfg.positions[entry])
+        entry = cfg.positions[spec.entry(cfg.num_qubits)]
+        # the spectrum P / (D + i sigma) at the entry qubit, from x0 on; the
+        # pulse's own branch has s = -sign * x
+        p = pulse_prefactor(spec, cfg.omega, entry)
         term = DelayedTerm(spec.x0, -1j * spec.sigma, (-1j * p,), cfg.omega)
-        out[spec.direction].append((math.inf, t - sign * cfg.positions[entry],
+        out[spec.direction].append((math.inf, t + spec.sign * entry,
                                     1.0, TimeSeriesAmplitude((term,))))
     return out
 
@@ -397,9 +397,7 @@ def _light_cone(cfg: ChainConfig, init: InitialCondition, qubit: int) -> float:
         d = abs(xq - cfg.positions[init.qubit])
     else:
         spec = init.pulse
-        sign = 1.0 if spec.direction == "right" else -1.0
-        entry = 0 if spec.direction == "right" else cfg.num_qubits - 1
-        d = abs(xq - (cfg.positions[entry] - sign * spec.x0))    # the front
+        d = abs(xq - spec.front(cfg.positions[spec.entry(cfg.num_qubits)]))
     if d <= 0:
         raise ValueError("probe qubit coincides with the excitation source")
     return d

@@ -276,7 +276,5 @@ def pulse_spectrum(p: PulseSpec, cfg_omega: float, entry_position: float
 def pulse_prefactor(p: PulseSpec, cfg_omega: float,
                     entry_position: float) -> complex:
     """The numerator of `pulse_spectrum`'s simple pole."""
-    sign = 1.0 if p.direction == "right" else -1.0
-    front = entry_position - sign * p.x0
-    phase = np.exp(sign * 1j * cfg_omega * front)
+    phase = np.exp(p.sign * 1j * cfg_omega * p.front(entry_position))
     return complex(1j * math.sqrt(2 * p.sigma) * phase)

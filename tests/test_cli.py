@@ -385,6 +385,26 @@ def test_check_oracle_refines_a_long_step(tmp_path, capsys):
     assert report["max_error"] < 1e-5
 
 
+@pytest.mark.parametrize("n, L, x0, direction, omega", [
+    (3, 1.0, 0.1037, "right", 10.0),
+    (3, 1.0, 0.001, "left", 57.0),        # x0 < dt = L/256
+    (3, 0.1, 3 * 0.1 / 8, "left", 10.0),  # x0 / dt = 96.00000000000001
+])
+def test_check_oracle_pulse_off_the_step_mesh(tmp_path, capsys, n, L, x0,
+                                              direction, omega):
+    """A front between two oracle nodes: the check integrates from the next
+    node out and shifts the engine's answer by the exact same amount."""
+    conf = _write_config(
+        tmp_path, chain={"n": n, "omega": omega, "j0": 1.0, "separation": L},
+        initial={"kind": "pulse", "sigma": 0.6, "x0": x0,
+                 "direction": direction}, horizon=6.0 * L)
+    rc = cli.main(["check", "--what", "oracle", conf])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["dt"] == L / 256
+    assert report["max_error"] < 1e-10
+
+
 def test_check_norm_passes(tmp_path, capsys):
     conf = _write_config(tmp_path)
     rc = cli.main(["check", "--what", "norm", conf])

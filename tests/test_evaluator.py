@@ -792,14 +792,14 @@ def test_merged_class_terms_match_exact_rationals(n, gaps):
 # A series is its terms
 # ---------------------------------------------------------------------------
 
-def test_norm_times_reuse_the_engine_packs():
+def test_norm_is_one_at_several_times():
     cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
     norms = total_norm(cfg3, InitialCondition.excited(1),
                        np.linspace(0.5, 5.0, 5))
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
-def test_before_keeps_the_prefix_and_slices_the_pack(cfg, excited):
+def test_before_keeps_the_delay_prefix(cfg, excited):
     amp = excitation_amplitude(cfg, excited, 1, 8 * L)
     for horizon in (0.5 * L, L, 1.5 * L, 3 * L + 1e-9, 8 * L):
         cut = amp.before(horizon)

@@ -347,8 +347,14 @@ def _chain_args(gaps, nsteps, dt=0.05, omega=3.7, excited=0, pulse=None):
     _chain_args([8, 11], 131, pulse=(0.7, "right", 6.6)),  # arrivals mid-block
     _chain_args([9, 8], 131, pulse=(1.3, "left", 4.2)),
     _chain_args([256], 5 * 256 + 77, dt=5 / 256, omega=200.0),  # Fermi pair, L = 5
+    # the self-decay chunks hold 1/(|g| dt) = 40 steps at dt = 0.025
+    _chain_args([], 2013, dt=0.025),                      # 51 chunks
+    _chain_args([100], 351, dt=0.025),                    # B = 100: 3 chunks a block
+    _chain_args([100], 351, dt=0.025, pulse=(0.7, "right", 57.3)),  # arrivals mid-chunk
+    _chain_args([9, 12, 10, 15, 9, 11, 13], 157, excited=2),  # n = 8, B = 9
 ], ids=["single", "single-pulse", "B8", "uneven", "uneven4", "pulse-right",
-        "pulse-left", "fermi"])
+        "pulse-left", "fermi", "single-chunks", "block-chunks", "pulse-chunks",
+        "uneven8"])
 def test_block_rk4_matches_reference_loop(args):
     nsteps, delay_steps = args[1], args[3]
     if delay_steps.shape[0] > 1:
@@ -358,6 +364,18 @@ def test_block_rk4_matches_reference_loop(args):
     for g, w in zip(got, want):
         assert g.shape == w.shape == (nsteps + 1, delay_steps.shape[0])
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-13)
+
+
+def test_block_rk4_lone_qubit_decays_as_the_stability_polynomial():
+    """An excited lone qubit takes a_n = R^n, R the RK4 polynomial of
+    z = -g dt. At g dt = 0.025, 30,000 steps decay by e^-750: a single
+    closed-form chunk would overflow R^-n, 40-step chunks do not."""
+    nsteps, dt = 30_000, 0.025
+    alpha, _, _ = _kernels.dde_rk4(*_chain_args([], nsteps, dt=dt))
+    z = -dt
+    r = 1 + z + z * z / 2 + z ** 3 / 6 + z ** 4 / 24
+    want = np.array([r ** n for n in range(nsteps + 1)])
+    np.testing.assert_allclose(alpha[:, 0], want, rtol=1e-12, atol=1e-300)
 
 
 def test_block_rk4_rejects_zero_cross_delay():
