@@ -162,11 +162,11 @@ def _sweep(v, out, terms, kappa):
 #
 # alpha_j' = b_j(t) - (gamma0/2) * sum_l K[j,l] * alpha_l(t - d[j,l]),
 # with d[j,l] = delay_steps[j,l] * dt and K[j,l] the propagation phase.
-# Delayed terms switch on at t = d[j,l]; each step integrates the smooth
-# piecewise extension (activity frozen at the step start), which keeps the
-# scheme fourth-order accurate across the kinks. The drive b_j is the
-# analytic decaying-exponential pulse, switching on (again judged at the
-# step start) at drive_arrival[j].
+# Delayed terms switch on at node delay_steps[j,l] and the drive b_j, the
+# analytic decaying-exponential pulse, at node drive_arrival[j]: every kink
+# lies on the mesh, and each step integrates the smooth piecewise extension
+# (activity frozen at the step start), which keeps the scheme fourth-order
+# accurate across them.
 #
 # History is stored with one-sided right/left derivatives per node so that
 # half-step delayed lookups interpolate the correct smooth piece with a
@@ -189,13 +189,14 @@ def dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase, half_gamma,
     """Run the RK4 method-of-steps integrator; returns (alpha, f_right, f_left).
 
     `delay_steps` must have a zero diagonal and positive off-diagonal
-    entries; the arrays returned have shape (nsteps + 1, nq).
+    entries; the drive of qubit j switches on at node `drive_arrival[j]`.
+    The arrays returned have shape (nsteps + 1, nq).
     """
     alpha0 = np.asarray(alpha0, dtype=np.complex128)
     delay_steps = np.asarray(delay_steps, dtype=np.int64)
     kernel_phase = np.asarray(kernel_phase, dtype=np.complex128)
     drive_amp = np.asarray(drive_amp, dtype=np.complex128)
-    drive_arrival = np.asarray(drive_arrival, dtype=np.float64)
+    drive_arrival = np.asarray(drive_arrival, dtype=np.int64)
     nsteps, dt = int(nsteps), float(dt)
     half_gamma, drive_sigma = float(half_gamma), float(drive_sigma)
     nq = alpha0.shape[0]
@@ -232,23 +233,22 @@ def dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase, half_gamma,
     power = np.arange(1, chunk + 1)[:, None] * np.log(R)
     grow, shrink = np.exp(power), np.exp(-power)
 
-    # the drive b_j, once per run: at each node t_p, on where t_p >= arrival
-    # (right derivative) or t_{p-1} >= arrival (left), and its share of f_n
-    # from the stages at t_n, t_n + dt/2 and t_n + dt, on where t_n >= arrival
+    # the drive b_j = amp_j exp(-sigma (p - k_j) dt), once per run: at each
+    # node p, on where p >= k_j (right derivative) or p > k_j (left), and its
+    # share of f_n from the stages at p = n, n + 1/2, n + 1, on where n >= k_j
     driven = bool(np.any(drive_amp != 0))
     if driven:
-        t = np.arange(nsteps + 1) * dt
-        on = (drive_amp != 0) & (t[:, None] >= drive_arrival)
+        since = np.arange(nsteps + 1)[:, None] - drive_arrival
+        on = since >= 0
 
-        def drive(times, on):
-            lag = np.where(on, times[:, None] - drive_arrival, 0.0)
+        def drive(c, on):
+            lag = np.where(on, since[:len(on)] + c, 0) * dt
             return np.where(on, drive_amp * np.exp(-drive_sigma * lag), 0.0)
 
-        drive_right = drive(t, on)
+        drive_right = drive(0, on)
         drive_left = np.where(on[:-1], drive_right[1:], 0.0)
-        drive_step = (w0 * drive_right[:-1]
-                      + wh * drive(t[:-1] + 0.5 * dt, on[:-1])
-                      + w1 * drive(t[:-1] + dt, on[:-1]))
+        drive_step = (w0 * drive_right[:-1] + wh * drive(0.5, on[:-1])
+                      + w1 * drive(1, on[:-1]))
 
     alpha = np.zeros((nsteps + 1, nq), dtype=np.complex128)
     f_right = np.zeros((nsteps + 1, nq), dtype=np.complex128)

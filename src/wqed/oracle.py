@@ -11,10 +11,13 @@ instead sets alpha_source(0) = 1). Physical amplitudes are
 e_j(t) = alpha_j(t) * exp(-i*W*t).
 
 Integration is classic RK4 with the method of steps: dt must divide every
-delay so delayed lookups land on stored mesh nodes. Half-step stage lookups
-use a cubic Hermite built from stored one-sided node derivatives, and each
-step integrates the smooth one-sided extension of the right-hand side
-(delayed-term activity frozen at the step start), which keeps the scheme
+delay so delayed lookups land on stored mesh nodes. Node k sits at
+start + k*dt with start = x0 - floor(x0/dt)*dt (0 on the mesh and for an
+excited start), so every pulse arrival is a whole number of steps; no alpha
+stirs before the front arrives, so delayed terms may switch on at node d/dt.
+Half-step stage lookups use a cubic Hermite built from stored one-sided node
+derivatives, and each step integrates the smooth one-sided extension of the
+right-hand side (activity frozen at the step start), which keeps the scheme
 fourth-order accurate across the Heaviside kinks.
 
 The steps are taken in blocks no longer than the shortest qubit-qubit delay
@@ -25,7 +28,8 @@ makes one RK4 step the linear recurrence a' = R a + f, which the kernel
 solves in closed form, one cumulative sum per chunk of at most 1/(|g| dt)
 steps (g = gamma0/2), so that |R|^-chunk <= e.
 
-This module never imports the diagram engine; it exists to check it.
+The diagram engine is imported only for `convergence_study`'s default
+reference; the integrator itself exists to check it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,9 @@ _MAX_STEP = 0.05
 
 @dataclass(frozen=True)
 class DDEHistory:
-    """Stored integration mesh with one-sided derivatives for interpolation."""
+    """Mesh nodes start + k*dt with one-sided derivatives for interpolation."""
 
+    start: float
     dt: float
     omega: float
     alpha: np.ndarray     # (nsteps+1, nq)
@@ -56,22 +61,22 @@ class DDEHistory:
 
     @property
     def horizon(self) -> float:
-        return (self.alpha.shape[0] - 1) * self.dt
+        return self.start + (self.alpha.shape[0] - 1) * self.dt
 
     @property
     def num_qubits(self) -> int:
         return self.alpha.shape[1]
 
     def times(self) -> np.ndarray:
-        return np.arange(self.alpha.shape[0]) * self.dt
+        return self.start + np.arange(self.alpha.shape[0]) * self.dt
 
     def value(self, qubit: int, t: float) -> complex:
-        """alpha_qubit(t); cubic Hermite between nodes, 0 for t < 0."""
-        if t < 0:
+        """alpha_qubit(t); cubic Hermite between nodes, 0 for t < start."""
+        if t < self.start:
             return 0j
         if t > self.horizon * (1 + 1e-12):
             raise OutOfRange(f"t={t} beyond stored horizon {self.horizon}")
-        s = t / self.dt
+        s = (t - self.start) / self.dt
         k = min(int(math.floor(s + 0.5)), self.alpha.shape[0] - 1)
         if abs(s - k) < 1e-9:
             return complex(self.alpha[k, qubit])
@@ -96,20 +101,23 @@ class DDEHistory:
         return self.alpha[:, qubit] * np.exp(-1j * self.omega * self.times())
 
 
-def _drive_params(cfg: ChainConfig, init: InitialCondition):
+def _drive_params(cfg: ChainConfig, init: InitialCondition, dt: float,
+                  delay_steps: np.ndarray):
+    """Drive amplitudes and rate, mesh start, and arrival node of each qubit."""
     nq = cfg.num_qubits
-    amp = np.zeros(nq, dtype=complex)
-    arrival = np.zeros(nq)
-    sigma = 1.0
-    if init.kind == "pulse":
-        p = init.pulse
-        sigma, sign = p.sigma, p.sign
-        front = p.front(cfg.positions[p.entry(nq)])
-        for j, xj in enumerate(cfg.positions):
-            amp[j] = (-1j * math.sqrt(cfg.gamma0 * p.sigma)
-                      * np.exp(sign * 1j * cfg.omega * xj))
-            arrival[j] = sign * (xj - front)
-    return amp, sigma, arrival
+    if init.kind != "pulse":
+        return np.zeros(nq, dtype=complex), 1.0, 0.0, np.zeros(nq, np.int64)
+    p = init.pulse
+    amp = (-1j * math.sqrt(cfg.gamma0 * p.sigma)
+           * np.exp(p.sign * 1j * cfg.omega * np.asarray(cfg.positions)))
+    # the front reaches the entry qubit at node k0; a front within
+    # _MESH_RTOL of a node takes that node, so start = 0 on the mesh
+    k0 = round(p.x0 / dt)
+    start = 0.0
+    if abs(p.x0 - k0 * dt) > _MESH_RTOL * max(1.0, p.x0):
+        k0 = math.floor(p.x0 / dt)
+        start = p.x0 - k0 * dt
+    return amp, p.sigma, start, k0 + delay_steps[p.entry(nq)]
 
 
 def integrate_chain(cfg: ChainConfig, init: InitialCondition, t_f: float,
@@ -140,13 +148,13 @@ def integrate_chain(cfg: ChainConfig, init: InitialCondition, t_f: float,
     alpha0 = np.zeros(nq, dtype=complex)
     if init.kind == "excited_qubit":
         alpha0[init.qubit] = 1.0
-    amp, sigma, arrival = _drive_params(cfg, init)
-    nsteps = int(round(t_f / dt))
-    if nsteps * dt < t_f - 1e-12 * t_f:
+    amp, sigma, start, arrival = _drive_params(cfg, init, dt, delay_steps)
+    nsteps = int(round((t_f - start) / dt))
+    if start + nsteps * dt < t_f - 1e-12 * t_f:
         nsteps += 1
     alpha, fr, fl = _kernels.dde_rk4(alpha0, nsteps, dt, delay_steps, phase,
                                      cfg.gamma0 / 2.0, amp, sigma, arrival)
-    return DDEHistory(dt=dt, omega=cfg.omega, alpha=alpha,
+    return DDEHistory(start=start, dt=dt, omega=cfg.omega, alpha=alpha,
                       f_right=fr, f_left=fl)
 
 

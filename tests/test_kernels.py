@@ -226,13 +226,12 @@ def _reference_dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase,
             if delay_steps[j, l] == 0:
                 acc += kernel_phase[j, l] * alpha[0, l]
         drv = 0.0 + 0.0j
-        if drive_amp[j] != 0 and 0.0 >= drive_arrival[j]:
-            drv = drive_amp[j] * np.exp(-drive_sigma * (0.0 - drive_arrival[j]))
+        if drive_amp[j] != 0 and 0 >= drive_arrival[j]:
+            drv = drive_amp[j] * np.exp(drive_sigma * drive_arrival[j] * dt)
         f_right[0, j] = drv - half_gamma * acc
         f_left[0, j] = 0.0
 
     for n in range(nsteps):
-        t = n * dt
         for s in range(4):
             if s == 0:
                 c = 0.0
@@ -240,7 +239,6 @@ def _reference_dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase,
                 c = 1.0
             else:
                 c = 0.5
-            ts = t + c * dt
             for j in range(nq):
                 if s == 0:
                     stage[j] = alpha[n, j]
@@ -272,9 +270,9 @@ def _reference_dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase,
                         acc += kernel_phase[j, l] * (
                             0.5 * (y0 + y1) + 0.125 * (m0 - m1))
                 drv = 0.0 + 0.0j
-                if drive_amp[j] != 0 and t >= drive_arrival[j]:
+                if drive_amp[j] != 0 and n >= drive_arrival[j]:
                     drv = drive_amp[j] * np.exp(
-                        -drive_sigma * (ts - drive_arrival[j]))
+                        -drive_sigma * (n - drive_arrival[j] + c) * dt)
                 res = drv - half_gamma * acc
                 if s == 0:
                     k1[j] = res
@@ -288,7 +286,6 @@ def _reference_dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase,
             alpha[n + 1, j] = alpha[n, j] + (dt / 6.0) * (
                 k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
 
-        tn1 = (n + 1) * dt
         for j in range(nq):
             acc_r = 0.0 + 0.0j
             acc_l = 0.0 + 0.0j
@@ -301,12 +298,11 @@ def _reference_dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase,
             drv_r = 0.0 + 0.0j
             drv_l = 0.0 + 0.0j
             if drive_amp[j] != 0:
-                if tn1 >= drive_arrival[j]:
-                    drv_r = drive_amp[j] * np.exp(
-                        -drive_sigma * (tn1 - drive_arrival[j]))
-                if n * dt >= drive_arrival[j]:
-                    drv_l = drive_amp[j] * np.exp(
-                        -drive_sigma * (tn1 - drive_arrival[j]))
+                lag = (n + 1 - drive_arrival[j]) * dt
+                if n + 1 >= drive_arrival[j]:
+                    drv_r = drive_amp[j] * np.exp(-drive_sigma * lag)
+                if n >= drive_arrival[j]:
+                    drv_l = drive_amp[j] * np.exp(-drive_sigma * lag)
             f_right[n + 1, j] = drv_r - half_gamma * acc_r
             f_left[n + 1, j] = drv_l - half_gamma * acc_l
 
@@ -316,8 +312,9 @@ def _reference_dde_rk4(alpha0, nsteps, dt, delay_steps, kernel_phase,
 def _chain_args(gaps, nsteps, dt=0.05, omega=3.7, excited=0, pulse=None):
     """dde_rk4 arguments for a chain whose gaps are whole numbers of steps.
 
-    `pulse` is (sigma, direction, lead): a wavefront `lead` steps outside the
-    entry qubit, so a fractional lead makes each arrival fall between nodes.
+    `pulse` is (sigma, direction, lead): a wavefront `lead` whole steps
+    outside the entry qubit, so qubit j's arrival is node lead + its delay
+    in steps from the entry qubit.
     """
     x = np.concatenate([[0.0], np.cumsum(gaps)]) * dt
     nq = x.shape[0]
@@ -325,35 +322,36 @@ def _chain_args(gaps, nsteps, dt=0.05, omega=3.7, excited=0, pulse=None):
     phase = np.exp(1j * omega * delay_steps * dt)
     alpha0 = np.zeros(nq, dtype=complex)
     amp = np.zeros(nq, dtype=complex)
-    arrival = np.zeros(nq)
+    arrival = np.zeros(nq, dtype=np.int64)
     sigma = 1.0
     if pulse is None:
         alpha0[excited] = 1.0
     else:
         sigma, direction, lead = pulse
         sign = 1.0 if direction == "right" else -1.0
-        front = (x[0] if sign > 0 else x[-1]) - sign * lead * dt
+        entry = 0 if sign > 0 else nq - 1
         amp[:] = -1j * np.sqrt(2.0 * sigma) * np.exp(sign * 1j * omega * x)
-        arrival[:] = sign * (x - front)
+        arrival[:] = lead + delay_steps[entry]
     return (alpha0, nsteps, dt, delay_steps, phase, 1.0, amp, sigma, arrival)
 
 
 @pytest.mark.parametrize("args", [
     _chain_args([], 300),                                 # nq = 1: one block
-    _chain_args([], 300, pulse=(0.7, "right", 41.5)),
+    _chain_args([], 300, pulse=(0.7, "right", 41)),
     _chain_args([8], 8 * 12 + 3, dt=1 / 8),               # dt = L/8: B = 8
     _chain_args([7, 9], 101, dt=1 / 8, excited=1),        # gaps 7L/8, 9L/8: B = 7
     _chain_args([9, 7, 8], 150, dt=1 / 8, excited=3),
-    _chain_args([8, 11], 131, pulse=(0.7, "right", 6.6)),  # arrivals mid-block
-    _chain_args([9, 8], 131, pulse=(1.3, "left", 4.2)),
+    _chain_args([8, 11], 131, pulse=(0.7, "right", 6)),  # arrivals mid-block
+    _chain_args([9, 8], 131, pulse=(1.3, "left", 4)),
+    _chain_args([8, 11], 131, pulse=(0.7, "right", 0)),  # arrival at node 0
     _chain_args([256], 5 * 256 + 77, dt=5 / 256, omega=200.0),  # Fermi pair, L = 5
     # the self-decay chunks hold 1/(|g| dt) = 40 steps at dt = 0.025
     _chain_args([], 2013, dt=0.025),                      # 51 chunks
     _chain_args([100], 351, dt=0.025),                    # B = 100: 3 chunks a block
-    _chain_args([100], 351, dt=0.025, pulse=(0.7, "right", 57.3)),  # arrivals mid-chunk
+    _chain_args([100], 351, dt=0.025, pulse=(0.7, "right", 57)),  # arrivals mid-chunk
     _chain_args([9, 12, 10, 15, 9, 11, 13], 157, excited=2),  # n = 8, B = 9
 ], ids=["single", "single-pulse", "B8", "uneven", "uneven4", "pulse-right",
-        "pulse-left", "fermi", "single-chunks", "block-chunks", "pulse-chunks",
+        "pulse-left", "pulse-at-node-0", "fermi", "single-chunks", "block-chunks", "pulse-chunks",
         "uneven8"])
 def test_block_rk4_matches_reference_loop(args):
     nsteps, delay_steps = args[1], args[3]

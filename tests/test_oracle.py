@@ -89,10 +89,14 @@ def test_backward_time_no_blowup():
     assert max(vals) <= 1.0 + 1e-12
 
 
-def test_field_reconstruction_matches_engine():
+@pytest.mark.parametrize("init", [
+    InitialCondition.excited(0),
+    # a front between two nodes of the L/256 mesh
+    InitialCondition.incident(PulseSpec(0.6, 0.1037, "right")),
+], ids=["excited", "pulse-off-mesh"])
+def test_field_reconstruction_matches_engine(init):
     L = 0.5
     cfg = ChainConfig.fermi_pair(1.0, 3.7, L)
-    init = InitialCondition.excited(0)
     hist = oracle.integrate_chain(cfg, init, 4.0, L / 256)
     t = 2.1
     xs = np.linspace(-1.9, 1.9, 41)
@@ -147,6 +151,15 @@ def test_convergence_study_fourth_order(L):
     assert rep["order"] >= 3.5
     assert rep["errors"] == sorted(rep["errors"], reverse=True)
     assert rep["dts"][0] <= 0.05 / cfg.gamma0 < 2 * rep["dts"][0]
+
+
+def test_convergence_study_pulse_off_the_mesh():
+    """x0 = 0.1037 lies on no mesh L/2^k: the mesh starts x0 mod dt after
+    t = 0, so every arrival is a node and the order stays four."""
+    cfg = ChainConfig(3, 10.0, 1.0, 1.0)
+    init = InitialCondition.incident(PulseSpec(0.6, 0.1037, "right"))
+    rep = oracle.convergence_study(cfg, init, 4.0)
+    assert rep["order"] >= 3.5
 
 
 def test_convergence_study_single_qubit():
