@@ -195,7 +195,7 @@ class TimeSeriesAmplitude:
     def before(self, horizon: float) -> "TimeSeriesAmplitude":
         """The series of the terms with delay < horizon.
 
-        The terms must be sorted by delay, as merged series are; the kept
+        The terms must be sorted by delay, as the engine's series are; the kept
         terms are then a prefix.
         """
         k = bisect.bisect_left(self.terms, horizon, key=lambda tm: tm.delay)
@@ -249,8 +249,9 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
       Near sigma = J0 that rounding is 10-16 eps per coefficient, so two
       correct roundings of one series can differ by more than the bound:
       for n = 4 at spacing 1/4, a pulse with sigma = 0.375 and x0 = 1/8,
-      t_f = 1.40625, the merged and the per-class series of qubit 3
-      differ by 9.3e-15 where the bound is 4.4e-15.
+      t_f = 1.40625, the class pass's series of qubit 3 and the sum of
+      its path classes' own terms differ by 9.8e-15 where the bound is
+      4.4e-15.
 
     For terms of size <= 1 the sweep's roundings add up to about
     eps |r| t_f: 7e-14 for n = 2, J0 = 5, Omega = 200 at 150 L, above that

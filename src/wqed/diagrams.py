@@ -1,4 +1,5 @@
-"""Unit cells, cascade semantics, and the binary-tree diagram enumerator.
+"""Scattering histories as integer polynomials, their closed-form terms,
+and the per-path tree walk that is their reference.
 
 A diagram is starter -> propagators -> finisher. The starter fixes the
 momentum-space input (an excited qubit radiates sqrt(J0)/(D + i*J0), a pulse
@@ -13,20 +14,21 @@ the requested horizon is kept, so the resulting series is exact for t < t_f.
 
 A diagram's rational function depends only on its numbers of transmissions
 and reflections, and its delay only on the gaps it crosses. The qubit
-amplitudes therefore sum over weighted classes rather than over single
-paths: `class_polynomials`, a dynamic program over (qubit, direction,
-delay) with delays as exact integers, counts the paths of each finishing
-qubit, delay and number of scatterings by #T in exact integers, and
-`class_rows` writes the residues of each such sum of classes in closed
-form. `diagram_classes` and `class_terms` are the per-class views of the
-two. The field follows from the amplitudes (see `evaluator`).
-`enumerate_diagrams` walks the binary tree path by path, with qubit or field
-finishers whose residues come from `momentum`'s partial fractions, and is
-kept as the reference the classes and the field are tested against.
+amplitudes therefore sum over path counts rather than over single paths:
+`class_polynomials`, a dynamic program over the states (qubit, direction,
+delay) with delays as exact integers, sums the paths of each finishing
+qubit and delay into one integer polynomial, on which a transmission acts
+as 1 + z and a reflection as z whatever the number of scatterings, and
+`class_rows` writes each polynomial's residues in closed form. The field
+follows from the amplitudes (see `evaluator`). `enumerate_diagrams` walks
+the binary tree path by path, with qubit or field finishers whose residues
+come from `momentum`'s partial fractions, and is kept as the reference the
+polynomials and the field are tested against.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -39,8 +41,8 @@ from .momentum import (_MAX_ORDER, RationalFn, coeff_e, coeff_r, coeff_t,
                        inverse_transform, mul, pulse_prefactor, pulse_spectrum,
                        simple_pole)
 
-#: Largest number of diagrams (tree walk) or classes (dynamic program) kept
-#: before HorizonTooLarge is raised.
+#: Largest number of diagrams (tree walk) kept, or of states the dynamic
+#: program expands, before HorizonTooLarge is raised.
 DIAGRAM_CAP = 10 ** 6
 _GEOM_TOL = 1e-9
 
@@ -327,37 +329,26 @@ def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
     return out
 
 
-@dataclass(frozen=True)
-class DiagramClass:
-    """All diagrams sharing a finisher, a delay, #T and #R.
-
-    They share one class function (its terms: `class_terms`); `weight` is
-    their number.
-    """
-
-    finisher: UnitCell
-    n_t: int
-    n_r: int
-    delay: float
-    weight: int
-    self_decay: bool = False
-
-
 class ClassPolynomial(NamedTuple):
-    """The qubit-finisher diagrams of one finishing qubit, one delay and one
-    number of scatterings, counted by their number of transmissions.
+    """The qubit-finisher diagrams of one finishing qubit and one delay, as
+    one integer polynomial in z summed over their numbers of scatterings.
 
-    `counts[a]` is the number of them with #T = a and #R = scatterings - a;
-    each non-zero entry is one `DiagramClass`. The self-decay diagram has a
-    polynomial of its own: counts (1,), no scatterings. A named tuple: a
-    class pass makes hundreds of them.
+    With P_E(x) the number of paths with E scatterings counted by #T (the
+    power of x), `counts` holds the coefficients of the sum over E of
+    z^(E+1) P_E(1 + 1/z) after an excited start and for a pulse with
+    sigma == J0, and of z^E P_E(1 + 1/z) for a pulse with sigma != J0. A
+    path with #T = a and #R = b thus adds z^(b+1) (1+z)^a or z^b (1+z)^a:
+    a transmission multiplies by 1 + z and a reflection by z, whatever E
+    is. The self-decay diagram adds 1. `residue` is, for a pulse with
+    sigma != J0, the sum over the paths of -1/(J0 - sigma)
+    (-sigma/(J0 - sigma))^#T (-J0/(J0 - sigma))^#R, and 0 otherwise. A
+    named tuple: a class pass makes hundreds of them.
     """
 
     qubit: int
     delay: float
-    scatterings: int
     counts: tuple[int, ...]
-    self_decay: bool = False
+    residue: float = 0.0
 
 
 def _gap_units(cfg: ChainConfig) -> tuple[int, tuple[int, ...]]:
@@ -383,25 +374,31 @@ def _reach(units: tuple[int, ...], finishers: frozenset[int]) -> tuple:
                  for x in along)
 
 
+def _pulse_sigma(cfg: ChainConfig, init: InitialCondition) -> float | None:
+    """The pulse's sigma, or None where -iJ0 is the only pole (an excited
+    start, or a pulse with sigma == J0 exactly)."""
+    if init.kind == "excited_qubit" or init.pulse.sigma == cfg.j0:
+        return None
+    return init.pulse.sigma
+
+
 def class_polynomials(cfg: ChainConfig, init: InitialCondition,
                       qubits: tuple[int, ...],
                       t_f: float) -> list[ClassPolynomial]:
     """The qubit-finisher diagrams of `enumerate_diagrams` for every index in
-    `qubits`, as one path-count polynomial per finishing qubit, delay and
-    number of scatterings.
+    `qubits`, as one `ClassPolynomial` per finishing qubit and delay.
 
-    A dynamic program over the states (qubit, direction, delay d), one hop
-    at a time, with d an exact integer in the units of `_gap_units`. Each
-    state carries P, its exact path counts by #T: a transmission maps P to
-    [0] + P and a reflection keeps it, and #R is E - #T, with E the number
-    of scatterings (hops - 1 after an excited start, hops for a pulse),
-    the same for every state of one hop. Polynomials are emitted by the
-    same rules as the tree walk. A state is dropped once offset + (d +
-    reach) / den reaches t_f, with `_reach` its distance to the nearest
-    finisher: a class's delay offset + d / den is monotone in d, so no
-    class below t_f is lost. Sorted by delay, then scatterings, then
-    qubit. Raises HorizonTooLarge past DIAGRAM_CAP classes, i.e. non-zero
-    counts.
+    A dynamic program over the states (qubit, direction, delay d), with d
+    an exact integer in the units of `_gap_units`. Each state carries the
+    polynomial and the residue of `ClassPolynomial` for the paths that
+    reach it, and every hop adds a positive number of units, so the states
+    are expanded once each, in increasing d, from a heap. A state at a
+    finisher adds its polynomial and residue to the emission of its qubit
+    and float delay offset + d / den (two exact delays may round to one).
+    A state is dropped once offset + (d + reach) / den reaches t_f, with
+    `_reach` its distance to the nearest finisher: a class's delay is
+    monotone in d, so no class below t_f is lost. Sorted by delay, then
+    qubit. Raises HorizonTooLarge past DIAGRAM_CAP expanded states.
     """
     if not 0 < t_f < math.inf:
         raise ValueError("t_f must be positive and finite")
@@ -418,144 +415,79 @@ def _class_dp(cfg: ChainConfig, init: InitialCondition,
               reach: tuple) -> tuple[list[ClassPolynomial], int]:
     """`class_polynomials` for the per-qubit distances `reach`, which may
     understate the true ones (all zero: no light-cone prune), and the
-    number of states the program visited."""
+    number of states the program expanded."""
     n = cfg.num_qubits
     den, gaps = units
     excited = init.kind == "excited_qubit"
     offset = 0.0 if excited else init.pulse.x0
-    emitted: dict[tuple, list[int]] = {}      # (delay, E, qubit) -> P
-    classes = 0
-    out = []
+    sigma = _pulse_sigma(cfg, init)
+    if sigma is None:
+        start, residue, r_t, r_r = [0, 1], 0.0, 0.0, 0.0
+    else:
+        gap = cfg.j0 - sigma
+        start, residue = [1], -1 / gap
+        r_t, r_r = -sigma / gap, -cfg.j0 / gap
+    states: dict[tuple, list] = {}       # (d, qubit, direction) -> [P, g]
+    heap: list[tuple] = []
+    emitted: dict[tuple, list] = {}      # (qubit, delay) -> [P, g]
 
-    def emit(key, p):
-        nonlocal classes
-        acc = emitted.setdefault(key, [])
-        if len(acc) < len(p):
-            acc.extend([0] * (len(p) - len(acc)))
-        for a, w in enumerate(p):
-            if w:
-                classes += not acc[a]
-                acc[a] += w
-        if classes > DIAGRAM_CAP:
-            raise HorizonTooLarge(f"diagram class cap {DIAGRAM_CAP} exceeded "
-                                  f"before t_f={t_f}")
+    def add(acc, key, p, g) -> bool:
+        old = acc.get(key)
+        if old is None:
+            acc[key] = [p, g]
+            return True
+        old[0] = [x + y for x, y in itertools.zip_longest(old[0], p,
+                                                          fillvalue=0)]
+        old[1] += g
+        return False
 
-    def hop(states, at, direction, d, p, transmit):
+    def hop(at, direction, d, p, g):
         nxt = at + direction
         if not 0 <= nxt < n:
             return  # photon leaves the system, branch terminates
         d += gaps[at if direction == 1 else nxt]
         if offset + (d + reach[nxt]) / den < t_f:
-            if transmit:
-                p = [0] + p
-            key = (nxt, direction, d)
-            old = states.get(key)
-            states[key] = p if old is None else [
-                x + y for x, y in itertools.zip_longest(old, p, fillvalue=0)]
+            key = (d, nxt, direction)
+            if add(states, key, p, g):
+                heapq.heappush(heap, key)
 
-    # states of one hop count: (qubit, direction, delay) -> P
-    states: dict[tuple, list[int]] = {}
     if excited:
         src = init.qubit
         if src in finishers:
-            classes = 1
-            out.append(ClassPolynomial(src, offset, 0, (1,), True))
+            emitted[(src, offset)] = [[1], 0.0]
         for direction in (1, -1):
-            hop(states, src, direction, 0, [1], False)
+            hop(src, direction, 0, start, residue)
     else:
-        direction = int(init.pulse.sign)
         entry = init.pulse.entry(n)
         if offset + reach[entry] / den < t_f:
-            states[(entry, direction, 0)] = [1]
+            key = (0, entry, int(init.pulse.sign))
+            states[key] = [start, residue]
+            heap.append(key)
 
     visited = 0
-    e = 0                   # scatterings on the paths of this hop's states
-    while states:
-        visited += len(states)
-        following: dict[tuple, list[int]] = {}
-        for (at, direction, d), p in states.items():
-            if at in finishers:
-                emit((d, e, at), p)
-            hop(following, at, direction, d, p, True)
-            hop(following, at, -direction, d, p, False)
-        states = following
-        e += 1
+    while heap:
+        key = heapq.heappop(heap)
+        d, at, direction = key
+        p, g = states.pop(key)
+        visited += 1
+        if visited > DIAGRAM_CAP:
+            raise HorizonTooLarge(f"class state cap {DIAGRAM_CAP} exceeded "
+                                  f"before t_f={t_f}")
+        if at in finishers:
+            add(emitted, (at, offset + d / den), p, g)
+        hop(at, direction, d, [x + y for x, y in zip(p + [0], [0] + p)],
+            g * r_t)
+        hop(at, -direction, d, [0] + p, g * r_r)
 
-    out += [ClassPolynomial(at, offset + d / den, scatterings, tuple(p))
-            for (d, scatterings, at), p in emitted.items()]
-    out.sort(key=lambda c: (c.delay, c.scatterings, c.qubit))
+    out = [ClassPolynomial(at, delay, tuple(p), g)
+           for (at, delay), (p, g) in emitted.items()]
+    out.sort(key=lambda c: (c.delay, c.qubit))
     return out, visited
 
 
-def diagram_classes(cfg: ChainConfig, init: InitialCondition,
-                    qubits: tuple[int, ...], t_f: float) -> list[DiagramClass]:
-    """The qubit-finisher diagrams of `enumerate_diagrams` for every index in
-    `qubits`, grouped into weighted classes: the non-zero counts of
-    `class_polynomials`, whose weight is their number of paths.
-
-    Sorted by delay, then by key. Raises HorizonTooLarge past DIAGRAM_CAP
-    classes.
-    """
-    return [DiagramClass(UnitCell(CellKind.FINISH_QUBIT, qubit=c.qubit),
-                         a, c.scatterings - a, c.delay, w, c.self_decay)
-            for c in class_polynomials(cfg, init, qubits, t_f)
-            for a, w in enumerate(c.counts) if w]
-
-
 #: k! for k < _MAX_ORDER, as exact integers: an excited start's residue
-#: coefficients I_j / (k-1)! are then correctly rounded quotients.
+#: coefficients c_j / j! are then correctly rounded quotients.
 _FACTORIAL = tuple(math.factorial(k) for k in range(_MAX_ORDER))
-
-
-def _class_start(cfg: ChainConfig,
-                 init: InitialCondition) -> tuple[complex, float | None]:
-    """p sqrt(J0), with p the starter's numerator, and the pulse's sigma;
-    sigma is None where -iJ0 is the only pole (an excited start, or a
-    pulse with sigma == J0 exactly)."""
-    j0 = cfg.j0
-    if init.kind == "excited_qubit":
-        return complex(j0), None
-    spec = init.pulse
-    p = pulse_prefactor(spec, cfg.omega,
-                        cfg.positions[spec.entry(cfg.num_qubits)])
-    sigma = spec.sigma
-    return p * math.sqrt(j0), None if sigma == j0 else sigma
-
-
-def _merged_rows(j0: float, pref: complex, sigma: float | None,
-                 scatterings: int, counts: tuple[int, ...],
-                 self_decay: bool) -> list[tuple[complex, list[complex]]]:
-    """The (pole, coefficients) rows at delay 0 of the class function summed
-    over `counts`; see `class_rows`."""
-    if self_decay:
-        return [(-1j * j0, [1.0 + 0j])]
-    e = scatterings
-    m = e + 1 + (sigma is None)
-    if m > _MAX_ORDER:
-        raise HorizonTooLarge(f"pole order {m} exceeds {_MAX_ORDER}: "
-                              f"({m}-1)! overflows float64")
-    shifted = [0] * (e + 1)         # I_j = sum_a P[a] C(a, j)
-    for a, w in enumerate(counts):
-        if w:
-            for j in range(a + 1):
-                shifted[j] += w * math.comb(a, j)
-    coeffs = [0j] * m               # tau^(k-1) at k - 1, k = m - r
-    if sigma is None:
-        for r, i in enumerate(shifted):
-            k = m - r
-            x = i / _FACTORIAL[k - 1] * j0 ** (k - 2)
-            coeffs[k - 1] = pref * (x if k % 2 else -x)
-        return [(-1j * j0, coeffs)]
-    d = j0 - sigma
-    beta = 0.0
-    for r, i in enumerate(shifted):
-        beta = (i * j0 ** (e - r) - beta) / d
-        k = m - r
-        x = beta / _FACTORIAL[k - 1]
-        coeffs[k - 1] = pref * (x if k % 2 else -x)
-    s = sum(w * sigma ** a * j0 ** (e - a) for a, w in enumerate(counts) if w)
-    x = s / d ** m
-    return [(-1j * sigma, [pref * (x if e % 2 else -x)]), (-1j * j0, coeffs)]
 
 
 def class_rows(cfg: ChainConfig, init: InitialCondition,
@@ -564,50 +496,62 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
     """The time-domain terms, at delay 0, of each `ClassPolynomial` of
     `polys`: one list of (pole, coefficients) rows per polynomial.
 
-    A class with #T = a and #R = E - a has the class function (starter,
-    a transmissions, E - a reflections, pickup)
+    A path with #T = a and #R = b, E = a + b, has the class function
+    (starter, a transmissions, b reflections, pickup)
 
-        p sqrt(J0) (-iJ0)^(E-a) D^a / ((D + i sigma) (D + iJ0)^m)
+        p sqrt(J0) (-iJ0)^b D^a / ((D + i sigma) (D + iJ0)^(E+1))
 
-    with m = E + 1, p from `pulse_spectrum`, and without the sigma factor
-    and with m = E + 2 for an excited start (p = sqrt(J0)) and for a pulse
-    with sigma == J0 exactly. The terms are linear in the class weights, so
-    a polynomial's rows are those of the weighted sum. With u = D + iJ0,
-    D^a = (u - iJ0)^a binomially, and summed over the counts P the
-    numerator is p sqrt(J0) sum_j I_j (-iJ0)^(E-j) u^j, where the integers
-    I_j = sum_a P[a] C(a, j) are the coefficients of P(1 + y). The residue
-    at -iJ0 then gives the tau^(k-1) coefficient
+    with p from `pulse_spectrum`, and without the sigma factor and with
+    the power E + 2 for an excited start (p = sqrt(J0)) and for a pulse
+    with sigma == J0 exactly. With u = D + iJ0, D^a = (u - iJ0)^a
+    binomially, and the residue at -iJ0 is linear in the path counts. The
+    path's polynomial z^(b+1) (1+z)^a, or z^b (1+z)^a with the sigma
+    factor, has the coefficient I_j of u^j in the numerator at z^(E+1-j),
+    or at z^(E-j), so the coefficient of tau^j depends on the counts c
+    of the polynomial alone, not on E. Without the sigma factor it is
 
-        p sqrt(J0) (-1)^(k-1) J0^(k-2) I_(m-k) / (k-1)!
+        p sqrt(J0) (-1)^j J0^(j-1) c_j / j!
 
-    without the sigma factor (0 for k = 1). With it, 1/(u + delta),
-    delta = i(sigma - J0), turns I_r into the real recurrence
-    beta_r = (I_r J0^(E-r) - beta_(r-1)) / (J0 - sigma) and the coefficient
-    p sqrt(J0) (-1)^(k-1) beta_(m-k) / (k-1)!; the simple pole at -i sigma
-    gives the term
+    (the self-decay's c = (1,) gives exp(-J0 tau): its momentum integrand
+    runs over both branches, 2 J0 / (D^2 + J0^2), of which only the causal
+    pole -iJ0 contributes for tau > 0). With it, 1/(u + delta), delta =
+    i(sigma - J0), turns c into the real recurrence, run from the top,
+    beta_j = (c_j J0^j - beta_(j+1)) / (J0 - sigma), and the coefficient
+    p sqrt(J0) (-1)^j beta_j / j!; the simple pole at -i sigma gives the
+    term p sqrt(J0) g, with g the polynomial's `residue`. g is carried as
+    a product of factors, never formed from c: that alternating sum would
+    cancel up to ((2 J0 - sigma) / sigma)^E of its digits. The paths of
+    one qubit share the parity of E, so the terms of g share one sign.
 
-        p sqrt(J0) (-1)^(E+1) sum_a P[a] sigma^a J0^(E-a) / (J0 - sigma)^m,
-
-    a sum taken from P, whose terms share one sign, and not from I, which
-    would cancel digits for sigma < J0. The self-decay class is
-    exp(-J0 tau): its momentum integrand runs over both branches,
-    2 J0 / (D^2 + J0^2), of which only the causal pole -iJ0 contributes for
-    tau > 0.
-
-    Pole orders m above 171 raise HorizonTooLarge before any coefficient
-    is formed: (m-1)! overflows float64.
+    Pole orders above 171 raise HorizonTooLarge before any coefficient is
+    formed: (m-1)! overflows float64 for a pole of order m.
     """
-    pref, sigma = _class_start(cfg, init)
-    return [_merged_rows(cfg.j0, pref, sigma, c.scatterings, c.counts,
-                         c.self_decay) for c in polys]
-
-
-def class_terms(cfg: ChainConfig, init: InitialCondition, n_t: int, n_r: int,
-                self_decay: bool = False) -> tuple[DelayedTerm, ...]:
-    """The time-domain terms, at delay 0, of one qubit-finisher class: the
-    rows of `class_rows` for the single count P[n_t] = 1 of n_t + n_r
-    scatterings (or of the self-decay class)."""
-    rows = _merged_rows(cfg.j0, *_class_start(cfg, init), n_t + n_r,
-                        (0,) * n_t + (1,), self_decay)
-    return tuple(DelayedTerm(0.0, pole, tuple(c), cfg.omega)
-                 for pole, c in rows)
+    j0 = cfg.j0
+    sigma = _pulse_sigma(cfg, init)
+    if init.kind == "excited_qubit":
+        pref = complex(j0)
+    else:
+        spec = init.pulse
+        pref = pulse_prefactor(spec, cfg.omega, cfg.positions[
+            spec.entry(cfg.num_qubits)]) * math.sqrt(j0)
+    out = []
+    for c in polys:
+        m = len(c.counts)
+        if m > _MAX_ORDER:
+            raise HorizonTooLarge(f"pole order {m} exceeds {_MAX_ORDER}: "
+                                  f"({m}-1)! overflows float64")
+        coeffs = [0j] * m                   # tau^j at j
+        if sigma is None:
+            for j, i in enumerate(c.counts):
+                x = i / _FACTORIAL[j] * j0 ** (j - 1)
+                coeffs[j] = pref * (-x if j % 2 else x)
+            out.append([(-1j * j0, coeffs)])
+            continue
+        d = j0 - sigma
+        beta = 0.0
+        for j in range(m - 1, -1, -1):
+            beta = (c.counts[j] * j0 ** j - beta) / d
+            x = beta / _FACTORIAL[j]
+            coeffs[j] = pref * (-x if j % 2 else x)
+        out.append([(-1j * sigma, [pref * c.residue]), (-1j * j0, coeffs)])
+    return out

@@ -20,9 +20,10 @@ class RealAxisPole(WqedError):
 
 
 class HorizonTooLarge(WqedError):
-    """The horizon is out of reach: diagram enumeration would exceed
-    diagrams.DIAGRAM_CAP, or a pole order would exceed 171, past which the
-    residue coefficient's (k-1)! overflows float64."""
+    """The horizon is out of reach: the tree walk's paths or the class
+    program's expanded states would exceed diagrams.DIAGRAM_CAP, or a pole
+    order would exceed 171, past which the residue coefficient's (k-1)!
+    overflows float64."""
 
 
 class StepTooLarge(WqedError):

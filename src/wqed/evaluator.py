@@ -1,16 +1,15 @@
 """Assemble observables from the integer class polynomials.
 
-Qubit excitation amplitudes are direct sums of finished diagram classes.
-One integer dynamic program (`diagrams.class_polynomials`) counts, for
-every finishing qubit, exact delay and number of scatterings, the paths by
-their number of transmissions, and `diagrams.class_rows` turns each such
-polynomial into its merged closed-form coefficients at once, since the
-class terms are linear in the class weights. Each polynomial's rows go
-under the key (its delay, pole, carrier, causality); `merge_terms` sums
-the rows of different numbers of scatterings that share a delay into one
-DelayedTerm per key, and those terms are the series that every evaluation
-and the rounding bound read. A merged series whose a-priori rounding bound
-exceeds ROUNDING_TOL raises IllConditioned.
+Qubit excitation amplitudes are direct sums of finished diagrams. One
+integer dynamic program (`diagrams.class_polynomials`) sums the paths of
+every finishing qubit and delay, whatever their number of scatterings,
+into one polynomial, and `diagrams.class_rows` turns each polynomial into
+its closed-form coefficients at once, since the terms are linear in the
+path counts. Each polynomial gives one row per pole at its delay, so a
+qubit's rows are its terms: `merge_terms` only sorts them into
+DelayedTerms, and those terms are the series that every evaluation and
+the rounding bound read. A series whose a-priori rounding bound exceeds
+ROUNDING_TOL raises IllConditioned.
 
 The field is the qubits' emission. By the waveguide input-output relation
 (Fan, Kocabas & Shen, Phys. Rev. A 82, 063821 (2010))
@@ -69,22 +68,12 @@ class FieldProfile:
         return self.xs, self.psi_right, self.psi_left
 
 
-def merge_terms(groups) -> tuple[DelayedTerm, ...]:
-    """Merge grouped coefficient rows into one term per group.
-
-    `groups` maps a (delay, pole, carrier, anti_causal) key to its rows, in
-    class order. Each group's rows are summed in that order, groups whose
-    coefficients all fall below 1e-300 are dropped, and the rest are sorted
-    by (delay, pole): one DelayedTerm per front.
-    """
-    out = []
-    for (delay, pole, carrier, anti), rows in groups.items():
-        acc = [0j] * max(map(len, rows))
-        for row in rows:
-            acc[:len(row)] = [a + c for a, c in zip(acc, row)]
-        if all(abs(c) < 1e-300 for c in acc):
-            continue
-        out.append(DelayedTerm(delay, pole, tuple(acc), carrier, anti))
+def merge_terms(rows, carrier: float) -> tuple[DelayedTerm, ...]:
+    """One qubit's (delay, pole, coefficients) rows as DelayedTerms of the
+    carrier `carrier`, sorted by (delay, pole): one term per front. The
+    class pass emits one row per (delay, pole), so nothing is summed."""
+    out = [DelayedTerm(delay, pole, tuple(coeffs), carrier)
+           for delay, pole, coeffs in rows]
     out.sort(key=lambda tm: (tm.delay, tm.pole.real, tm.pole.imag))
     return tuple(out)
 
@@ -101,7 +90,7 @@ def amplitudes(cfg: ChainConfig, init: InitialCondition,
     """Excitation amplitudes of `qubits`, exact for t < t_f, from one class
     pass (`_class_pass`).
 
-    Raises IllConditioned if a merged series' a-priori rounding bound
+    Raises IllConditioned if a series' a-priori rounding bound
     (`core.rounding_bound`) exceeds ROUNDING_TOL.
     """
     out = _class_pass(cfg, init, qubits, t_f)
@@ -113,25 +102,20 @@ def amplitudes(cfg: ChainConfig, init: InitialCondition,
 def _class_pass(cfg: ChainConfig, init: InitialCondition,
                 qubits: tuple[int, ...],
                 t_f: float) -> dict[int, TimeSeriesAmplitude]:
-    """The merged series of `qubits` through t_f, without the rounding check.
+    """The series of `qubits` through t_f, without the rounding check.
 
-    One integer dynamic program (`diagrams.class_polynomials`) counts the
-    paths of every (finishing qubit, delay, number of scatterings) by #T,
-    and `diagrams.class_rows` turns each such polynomial into its merged
-    rows at once. The rows go under the key (delay, pole, carrier,
-    causality), in the program's (delay, scatterings) order; `merge_terms`
-    sums each key's rows (different numbers of scatterings may share a
-    delay on uneven chains) into one term.
+    One integer dynamic program (`diagrams.class_polynomials`) sums the
+    paths of every (finishing qubit, delay) into one polynomial, and
+    `diagrams.class_rows` turns each polynomial into its rows at once; a
+    qubit's rows are its terms (`merge_terms`).
     """
-    groups: dict[int, dict[tuple, list]] = {q: {} for q in qubits}
+    rows: dict[int, list] = {q: [] for q in qubits}
     polys = class_polynomials(cfg, init, qubits, t_f)
-    for c, rows in zip(polys, class_rows(cfg, init, polys)):
-        group = groups[c.qubit]
-        for pole, coeffs in rows:
-            group.setdefault((c.delay, pole, cfg.omega, False),
-                             []).append(coeffs)
-    return {q: TimeSeriesAmplitude(merge_terms(g), label=f"e:{q}")
-            for q, g in groups.items()}
+    for c, poly_rows in zip(polys, class_rows(cfg, init, polys)):
+        rows[c.qubit] += [(c.delay, pole, coeffs)
+                          for pole, coeffs in poly_rows]
+    return {q: TimeSeriesAmplitude(merge_terms(r, cfg.omega), label=f"e:{q}")
+            for q, r in rows.items()}
 
 
 def _check_rounding(series: TimeSeriesAmplitude, t_f: float) -> None:

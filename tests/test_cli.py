@@ -338,6 +338,20 @@ def test_diagram_cap_exits_3(tmp_path, monkeypatch):
     assert rc == 3
 
 
+def test_pulse_near_j0_exits_3(tmp_path, capsys):
+    """An amplitude refused near sigma = J0 is a typed error: exit 3 with
+    an error line, not a traceback."""
+    conf = _write_config(tmp_path, chain={"n": 2, "omega": 10.0, "j0": 1.0,
+                                          "separation": 1.0},
+                         initial={"kind": "pulse", "sigma": 1.001,
+                                  "x0": 0.125, "direction": "right"},
+                         horizon=150.0)
+    rc = cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),
+                   "--observables", "e:1"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_causality_passes(tmp_path, capsys):
     conf = _write_config(tmp_path)
     rc = cli.main(["check", "--what", "causality", conf])

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from wqed import diagrams, oracle
 from wqed.core import (ChainConfig, InitialCondition, PulseSpec,
                        TimeSeriesAmplitude, eval_term)
-from wqed.diagrams import (CellKind, Diagram, FinisherSpec, UnitCell,
-                           apply_cell, class_terms, diagram_classes,
+from wqed.diagrams import (CellKind, ClassPolynomial, Diagram, FinisherSpec,
+                           UnitCell, apply_cell, class_polynomials, class_rows,
                            enumerate_diagrams, field_segment, field_terms,
                            finish_excitation, finish_field, start_pulse)
 from wqed.errors import GeometryError, HorizonTooLarge, IllConditioned
@@ -231,11 +231,88 @@ def _tree_counts(diagrams):
                    + _scatter_counts(d) + (d.self_decay,) for d in diagrams)
 
 
-def _class_counts(classes):
-    out = Counter()
-    for c in classes:
-        out[(_finisher_key(c.finisher), c.delay, c.n_t, c.n_r,
-             c.self_decay)] += c.weight
+def _path_polynomial(n_t, n_r, self_decay, sigma_pole):
+    """One path's share of `ClassPolynomial.counts`: z^(#R + 1) (1 + z)^#T,
+    z^#R (1 + z)^#T for a pulse whose sigma pole is not -iJ0, and 1 for
+    the self-decay path."""
+    if self_decay:
+        return (1,)
+    return ((0,) * (n_r + (not sigma_pole))
+            + tuple(math.comb(n_t, k) for k in range(n_t + 1)))
+
+
+def _has_sigma_pole(cfg, init):
+    return init.kind == "pulse" and init.pulse.sigma != cfg.j0
+
+
+def _path_residue(cfg, init, n_t, n_r):
+    """One path's `ClassPolynomial.residue`, from its closed form
+    (-1)^(E+1) sigma^#T J0^#R / (J0 - sigma)^(E+1), E = #T + #R."""
+    if not _has_sigma_pole(cfg, init):
+        return 0.0
+    sigma, e = init.pulse.sigma, n_t + n_r
+    return ((-1) ** (e + 1) * sigma ** n_t * cfg.j0 ** n_r
+            / (cfg.j0 - sigma) ** (e + 1))
+
+
+def _walk_polynomials(cfg, init, counts):
+    """{(qubit, delay): (counts, residue, sum of |path residues|)} summed
+    path class by path class from counts keyed like `_tree_counts`."""
+    sigma_pole = _has_sigma_pole(cfg, init)
+    out = {}
+    for (fin, delay, n_t, n_r, self_decay), w in counts.items():
+        acc, g, scale = out.get((fin[1], delay), ((), 0.0, 0.0))
+        term = _path_polynomial(n_t, n_r, self_decay, sigma_pole)
+        acc = tuple(x + w * y for x, y in itertools.zip_longest(
+            acc, term, fillvalue=0))
+        r = w * _path_residue(cfg, init, n_t, n_r)
+        out[(fin[1], delay)] = (acc, g + r, scale + abs(r))
+    return out
+
+
+def _assert_polynomials_match(polys, cfg, init, counts):
+    """The class DP's polynomials against the path counts `counts`: the
+    same (qubit, delay) keys in (delay, qubit) order, equal integer
+    counts, and residues within rounding of the per-path sums."""
+    want = _walk_polynomials(cfg, init, counts)
+    assert [(c.qubit, c.delay) for c in polys] \
+        == sorted(want, key=lambda k: (k[1], k[0]))
+    for c in polys:
+        counts_, g, scale = want[(c.qubit, c.delay)]
+        assert c.counts == counts_
+        assert abs(c.residue - g) <= 1e-13 * scale
+
+
+def _walk_counts(cfg, init, qubits, t_f):
+    return sum((_tree_counts(enumerate_diagrams(
+        cfg, init, FinisherSpec("qubit", q), t_f)) for q in qubits),
+        Counter())
+
+
+def _path_counts(cfg, src, target, t_f):
+    """`_tree_counts` of the walk from excited qubit `src` to finisher
+    `target`, by the breadth-first expansion of `_brute_force_paths`;
+    entries alike in (qubit, direction, delay, #T, #R) are expanded once
+    with their multiplicity."""
+    n = cfg.num_qubits
+    seps = [abs(b - a) for a, b in zip(cfg.positions, cfg.positions[1:])]
+    fin = (CellKind.FINISH_QUBIT, target, None)
+    out = Counter({(fin, 0.0, 0, 0, True): 1} if target == src else {})
+    frontier = Counter((src + d, d, seps[min(src, src + d)], 0, 0)
+                       for d in (1, -1) if 0 <= src + d < n)
+    while frontier:
+        new = Counter()
+        for (pos, d, delay, n_t, n_r), w in frontier.items():
+            if delay >= t_f:
+                continue
+            if pos == target:
+                out[(fin, delay, n_t, n_r, False)] += w
+            for branch in (d, -d):         # transmit keeps, reflect flips
+                nxt = pos + branch
+                if 0 <= nxt < n:
+                    new[(nxt, branch, delay + seps[min(pos, nxt)],
+                         n_t + (branch == d), n_r + (branch != d))] += w
+        frontier = new
     return out
 
 
@@ -348,15 +425,12 @@ def _oracle_field_error(cfg, init, t, xs, pr, pl):
 def test_classes_match_tree_walk(case):
     cfg, init, t_f, qubit, t = case
     n = cfg.num_qubits
-    walks = [_tree_counts(enumerate_diagrams(
-        cfg, init, FinisherSpec("qubit", q), t_f)) for q in range(n)]
-    assert _class_counts(diagram_classes(cfg, init, (qubit,), t_f)) \
-        == walks[qubit]
-    classes = diagram_classes(cfg, init, tuple(range(n)), t_f)
-    assert _class_counts(classes) == sum(walks, Counter())
-    keys = {(c.finisher, c.delay, c.n_t, c.n_r, c.self_decay)
-            for c in classes}
-    assert len(keys) == len(classes)
+    _assert_polynomials_match(class_polynomials(cfg, init, (qubit,), t_f),
+                              cfg, init,
+                              _walk_counts(cfg, init, (qubit,), t_f))
+    _assert_polynomials_match(
+        class_polynomials(cfg, init, tuple(range(n)), t_f), cfg, init,
+        _walk_counts(cfg, init, range(n), t_f))
 
     ts = np.linspace(0.0, t_f, 97)
     try:
@@ -395,57 +469,86 @@ def test_classes_match_tree_walk(case):
 @pytest.mark.parametrize("n, classes, paths", [(8, 36, 139_653),
                                                (4, 44, 28_656)])
 def test_class_figures_at_24L(n, classes, paths):
+    """Uniform chains from qubit 0 to the last: one polynomial per delay
+    (n - 1, n + 1, ..., 23), against the path counts of the walk, by its
+    breadth-first expansion: the walk itself takes about 10 s on the
+    28,656 paths of n = 4 on a 2-vCPU machine."""
     cfg = ChainConfig(n, 4.0, 1.0, 1.0)
-    got = diagram_classes(cfg, InitialCondition.excited(0), (n - 1,), 24.0)
-    assert len(got) == classes
-    assert sum(c.weight for c in got) == paths
+    init = InitialCondition.excited(0)
+    want = _path_counts(cfg, 0, n - 1, 24.0)
+    assert (len(want), sum(want.values())) == (classes, paths)
+    got = class_polynomials(cfg, init, (n - 1,), 24.0)
+    assert [c.delay for c in got] == list(range(n - 1, 24, 2))
+    _assert_polynomials_match(got, cfg, init, want)
 
 
 def test_float_spacing_shares_one_gap_length():
     """Positions m * 0.1 have gaps that differ in the last bits; they still
-    collapse to one gap length, as the exact spacing 1 does."""
-    counts = []
+    collapse to one gap length, and give the polynomials of the exact
+    spacing 1."""
+    got = []
     for sep in (1.0, 0.1):
         cfg = ChainConfig(8, 4.0, 1.0, sep)
-        classes = diagram_classes(cfg, InitialCondition.excited(0), (7,),
+        polys = class_polynomials(cfg, InitialCondition.excited(0), (7,),
                                   24.0 * sep)
         assert len(set(diagrams._gap_units(cfg)[1])) == 1
-        counts.append(len(classes))
-    assert counts == [36, 36]
+        got.append([c.counts for c in polys])
+    assert got[0] == got[1] and len(got[0]) == 9
 
 
 def test_uneven_classes_are_keyed_on_the_delay():
     """Gaps 7/8, 9/8 and 1 L: crossing the first two gaps once each takes
     as long as crossing the third twice, so different gap crossings share a
-    delay. The program keeps one polynomial per (qubit, delay, scatterings)
-    and its classes still count the tree walk's paths."""
+    delay. The program keeps one polynomial per (qubit, delay), and it
+    sums the tree walk's paths."""
     cfg = ChainConfig(4, 4.0, 1.0, 0.0, positions=(0.0, 0.875, 2.0, 3.0))
     init = InitialCondition.excited(0)
-    polys = diagrams.class_polynomials(cfg, init, (0, 1, 2, 3), 12.0)
-    keys = {(c.qubit, c.delay, c.scatterings) for c in polys}
-    assert len(keys) == len(polys) == 114
-    walks = sum((_tree_counts(enumerate_diagrams(
-        cfg, init, FinisherSpec("qubit", q), 12.0)) for q in range(4)),
-        Counter())
+    polys = class_polynomials(cfg, init, (0, 1, 2, 3), 12.0)
+    assert len(polys) == 107
+    walks = _walk_counts(cfg, init, range(4), 12.0)
     assert sum(walks.values()) == 456
-    assert _class_counts(diagram_classes(cfg, init, (0, 1, 2, 3), 12.0)) \
-        == walks
+    _assert_polynomials_match(polys, cfg, init, walks)
 
 
-def test_class_cap_counts_classes(monkeypatch):
+def test_hop_levels_merge_into_one_state():
+    """The uneven chain of `test_uneven_classes_are_keyed_on_the_delay`
+    with every qubit a finisher: paths with different numbers of
+    scatterings reach one (qubit, direction, delay), and the program keeps
+    one state for them. It expands 428 states at 24 L and 812 at 40 L,
+    where one state per number of scatterings took 714 and 2,159."""
+    cfg = ChainConfig(4, 4.0, 1.0, 0.0, positions=(0.0, 0.875, 2.0, 3.0))
+    init = InitialCondition.excited(0)
+    finishers = frozenset(range(4))
+    units = diagrams._gap_units(cfg)
+    reach = diagrams._reach(units[1], finishers)
+    seen = [diagrams._class_dp(cfg, init, finishers, t_f, units, reach)[1]
+            for t_f in (24.0, 40.0)]
+    assert seen == [428, 812]
+    walks = _walk_counts(cfg, init, range(4), 12.0)
+    keys = {(fin[1], delay) for fin, delay, *_ in walks}
+    levels = {(fin[1], delay, n_t + n_r) for fin, delay, n_t, n_r, _ in walks}
+    assert len(levels) > len(keys)      # some (qubit, delay) has two levels
+    _assert_polynomials_match(class_polynomials(cfg, init, tuple(range(4)),
+                                                12.0), cfg, init, walks)
+
+
+def test_class_cap_counts_states(monkeypatch):
     cfg = ChainConfig(4, 4.0, 1.0, 1.0)
     init = InitialCondition.excited(0)
-    monkeypatch.setattr(diagrams, "DIAGRAM_CAP", 44)
-    assert len(diagram_classes(cfg, init, (3,), 24.0)) == 44
+    units = diagrams._gap_units(cfg)
+    _, seen = diagrams._class_dp(cfg, init, frozenset({3}), 24.0, units,
+                                 diagrams._reach(units[1], frozenset({3})))
+    monkeypatch.setattr(diagrams, "DIAGRAM_CAP", seen)
+    assert len(class_polynomials(cfg, init, (3,), 24.0)) == 11
     with pytest.raises(HorizonTooLarge):       # the walk counts paths
         enumerate_diagrams(cfg, init, FinisherSpec("qubit", 3), 24.0)
-    monkeypatch.setattr(diagrams, "DIAGRAM_CAP", 43)
+    monkeypatch.setattr(diagrams, "DIAGRAM_CAP", seen - 1)
     with pytest.raises(HorizonTooLarge):
-        diagram_classes(cfg, init, (3,), 24.0)
+        class_polynomials(cfg, init, (3,), 24.0)
 
 
 def _unpruned_and_pruned(cfg, init, qubits, t_f):
-    """The class DP's (polynomials, states visited) with all distances to
+    """The class DP's (polynomials, states expanded) with all distances to
     a finisher taken as zero, and with the light-cone prune."""
     finishers = frozenset(qubits)
     units = diagrams._gap_units(cfg)
@@ -510,12 +613,15 @@ def test_class_function_is_the_product_of_coefficients():
             for coeff in [coeff_t] * n_t + [coeff_r] * n_r + [coeff_e]:
                 f = mul(f, coeff(cfg.j0))
         ref = inverse_transform(f, 0.0, cfg.omega)
-        got = class_terms(cfg, init, n_t, n_r, self_decay)
-        assert sorted(tm.pole.imag for tm in got) \
+        sigma_pole = _has_sigma_pole(cfg, init)
+        (rows,) = class_rows(cfg, init, [ClassPolynomial(
+            0, 0.0, _path_polynomial(n_t, n_r, self_decay, sigma_pole),
+            _path_residue(cfg, init, n_t, n_r))])
+        assert sorted(pole.imag for pole, _ in rows) \
             == sorted(tm.pole.imag for tm in ref)
-        for tm in got:
-            (want,) = [r for r in ref if r.pole == tm.pole]
-            assert (tm.delay, tm.carrier, tm.anti_causal) \
-                == (want.delay, want.carrier, want.anti_causal)
-            np.testing.assert_allclose(tm.poly_coeffs, want.poly_coeffs,
+        for pole, coeffs in rows:
+            (want,) = [r for r in ref if r.pole == pole]
+            assert (want.delay, want.carrier, want.anti_causal) \
+                == (0.0, cfg.omega, False)
+            np.testing.assert_allclose(coeffs, want.poly_coeffs,
                                        rtol=1e-13, atol=0)

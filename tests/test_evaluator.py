@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from wqed.core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
                        TimeSeriesAmplitude, rounding_bound)
-from wqed.diagrams import class_terms, diagram_classes, start_pulse
+from wqed.diagrams import (CellKind, ClassPolynomial, FinisherSpec,
+                           class_rows, enumerate_diagrams, start_pulse)
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
 from wqed import _kernels, evaluator, fermi, momentum, oracle
@@ -253,6 +254,18 @@ def test_rounding_bound_refuses_lost_digits(n, sigma, t_f):
         excitation_amplitude(cfg_n, init, n - 1, t_f)
 
 
+@pytest.mark.parametrize("sigma, t_f", [(1.001, 150.0), (0.999, 150.0),
+                                        (1.0001, 120.0), (1.003, 160.0)])
+def test_pulse_near_j0_is_refused_with_a_typed_error(sigma, t_f):
+    """Near sigma = J0 the coefficients grow like 1/|J0 - sigma|^E until
+    they overflow, well below the pole-order cap; the answer is refused
+    with IllConditioned, not lost to an arithmetic error."""
+    cfg2 = ChainConfig(2, 10.0, 1.0, 1.0)
+    init = InitialCondition.incident(PulseSpec(sigma, 0.125))
+    with pytest.raises(IllConditioned):
+        excitation_amplitude(cfg2, init, 1, t_f)
+
+
 def _exact_series(series, ts):
     """A merged series at the times ts, stdlib only: at each delay, the
     terms' polynomials times exp(-kappa tau) summed in 50-digit decimal,
@@ -489,17 +502,53 @@ def _reference_merge(terms):
     return tuple(out)
 
 
+def _walk_classes(cfg, init, qubits, t_f):
+    """The tree walk's paths to `qubits` as {(qubit, delay, #T, #R,
+    self_decay): number of paths}."""
+    out = {}
+    for q in qubits:
+        for d in enumerate_diagrams(cfg, init, FinisherSpec("qubit", q), t_f):
+            kinds = [c.kind for c in d.cells]
+            key = (q, d.total_delay, kinds.count(CellKind.TRANSMIT),
+                   kinds.count(CellKind.REFLECT), d.self_decay)
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _class_terms(cfg, init, n_t, n_r, self_decay):
+    """One path class's terms at delay 0: `class_rows` of the polynomial
+    and residue of a single path with #T = n_t and #R = n_r (1 for the
+    self-decay path)."""
+    sigma_pole = init.kind == "pulse" and init.pulse.sigma != cfg.j0
+    if self_decay:
+        counts, residue = (1,), 0.0
+    else:
+        counts = ((0,) * (n_r + (not sigma_pole))
+                  + tuple(math.comb(n_t, k) for k in range(n_t + 1)))
+        residue = 0.0
+        if sigma_pole:
+            sigma, e = init.pulse.sigma, n_t + n_r
+            residue = ((-1) ** (e + 1) * sigma ** n_t * cfg.j0 ** n_r
+                       / (cfg.j0 - sigma) ** (e + 1))
+    (rows,) = class_rows(cfg, init, [ClassPolynomial(0, 0.0, counts,
+                                                     residue)])
+    return tuple(DelayedTerm(0.0, pole, tuple(c), cfg.omega)
+                 for pole, c in rows)
+
+
 def _reference_series(cfg, init, qubits, t_f):
-    """The class pass with each class's terms `replace`d to its delay and
-    scaled by float(weight) as numpy arrays, then `_reference_merge`d."""
+    """The class pass from the tree walk's path classes: each class's
+    terms `replace`d to its delay and scaled by float(weight) as numpy
+    arrays, then `_reference_merge`d."""
     base, terms = {}, {q: [] for q in qubits}
-    for c in diagram_classes(cfg, init, qubits, t_f):
-        key = (c.n_t, c.n_r, c.self_decay)
+    for (q, delay, *key), weight in _walk_classes(cfg, init, qubits,
+                                                  t_f).items():
+        key = tuple(key)
         if key not in base:
-            base[key] = class_terms(cfg, init, *key)
-        terms[c.finisher.qubit].extend(
-            replace(tm, delay=c.delay, poly_coeffs=tuple(
-                np.asarray(tm.poly_coeffs) * float(c.weight)))
+            base[key] = _class_terms(cfg, init, *key)
+        terms[q].extend(
+            replace(tm, delay=delay, poly_coeffs=tuple(
+                np.asarray(tm.poly_coeffs) * float(weight)))
             for tm in base[key])
     return {q: TimeSeriesAmplitude(_reference_merge(ts), label=f"e:{q}")
             for q, ts in terms.items()}
@@ -569,8 +618,9 @@ def test_class_pass_matches_term_objects(case):
         assert refused
         return
     assert not refused
-    # the merged rows round differently from the per-class sums, by a few
-    # eps of each coefficient; at most 6.7 eps past the bound here
+    # the class pass rounds differently from the per-class sums, by a few
+    # eps of each coefficient; within the bound itself here (6.7 eps past
+    # it while the rows of different hop levels were summed in floats)
     ts = np.linspace(0.0, t_f, 257)[:-1]
     for q in qubits:
         assert _term_keys(got[q]) == _term_keys(want[q])
@@ -654,23 +704,23 @@ def test_rounding_bound_matches_the_array_form(case):
             _assert_bound_parity(series, t_f)
 
 
-def test_merge_terms_sums_in_order_drops_zeros_and_sorts():
+def test_merge_terms_sorts_rows_into_terms():
+    """One qubit's rows, one per (delay, pole), become the terms that
+    `_reference_merge` makes of them: sorted by (delay, pole), with the
+    coefficients bit for bit and the given carrier."""
     rng = np.random.default_rng(5)
     pole_a, pole_b = -1j, 0.5 - 2j
-    keys = [(2.0, pole_a, 4.0, False), (1.0, pole_b, 4.0, False),
-            (1.0, pole_a, 4.0, False), (0.5, pole_a, 4.0, True)]
-    rows = [[complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-8, 8)
-             for _ in range(rng.integers(1, 5))] for _ in range(9)]
-    # key 3's two rows cancel exactly, so its merged row is dropped
-    rows[7], rows[8] = [1e-3 + 2j, 0j], [-1e-3 - 2j]
-    owner = [0, 1, 2, 0, 1, 2, 0, 3, 3]
-    groups, terms = {}, []
-    for key, row in zip((keys[i] for i in owner), rows):
-        groups.setdefault(key, []).append(row)
-        terms.append(DelayedTerm(key[0], key[1], tuple(row), key[2], key[3]))
-    got = TimeSeriesAmplitude(evaluator.merge_terms(groups))
-    want = TimeSeriesAmplitude(_reference_merge(terms))
-    assert len(want.terms) == 3
+    keys = [(2.0, pole_a), (1.0, pole_b), (1.0, pole_a), (0.5, pole_a),
+            (0.5, pole_b)]
+    rows = [(delay, pole, [complex(*rng.normal(size=2))
+                           * 10.0 ** rng.integers(-8, 8)
+                           for _ in range(rng.integers(1, 5))])
+            for delay, pole in keys]
+    got = TimeSeriesAmplitude(evaluator.merge_terms(rows, 4.0))
+    want = TimeSeriesAmplitude(_reference_merge(
+        [DelayedTerm(delay, pole, tuple(c), 4.0) for delay, pole, c in rows]))
+    assert [(tm.delay, tm.pole) for tm in got.terms] \
+        == sorted(keys, key=lambda k: (k[0], k[1].real, k[1].imag))
     _assert_same_terms(got, want)
 
 
@@ -731,23 +781,24 @@ def _errors_in_eps(got, want):
 
 def _merged_and_per_class_errors(cfg, init, t_f, sigma):
     """Errors, in eps, of the class pass's merged coefficients over the float
-    p sqrt(J0) against exact sums over the classes, and of the per-class
-    float sums (`class_terms` times the weight, in class order)."""
+    p sqrt(J0) against exact sums over the tree walk's path classes, and of
+    the per-class float sums (`_class_terms` times the weight, in walk
+    order)."""
     qubits = tuple(range(cfg.num_qubits))
     exact, per_class = {}, {}
-    for c in diagram_classes(cfg, init, qubits, t_f):
-        if c.self_decay:
+    for (q, delay, n_t, n_r, self_decay), weight in _walk_classes(
+            cfg, init, qubits, t_f).items():
+        if self_decay:
             continue
-        for pole, row in _exact_class_rows(c.n_t, c.n_r, sigma).items():
-            acc = exact.setdefault((c.finisher.qubit, c.delay, pole), [])
+        for pole, row in _exact_class_rows(n_t, n_r, sigma).items():
+            acc = exact.setdefault((q, delay, pole), [])
             acc += [(0, 0)] * (len(row) - len(acc))
-            acc[:] = [(x[0] + c.weight * y[0], x[1] + c.weight * y[1])
+            acc[:] = [(x[0] + weight * y[0], x[1] + weight * y[1])
                       for x, y in zip(acc, row)]
-        for tm in class_terms(cfg, init, c.n_t, c.n_r):
-            acc = per_class.setdefault((c.finisher.qubit, c.delay, tm.pole),
-                                       [])
+        for tm in _class_terms(cfg, init, n_t, n_r, False):
+            acc = per_class.setdefault((q, delay, tm.pole), [])
             acc += [0j] * (len(tm.poly_coeffs) - len(acc))
-            acc[:] = [x + y * float(c.weight)
+            acc[:] = [x + y * float(weight)
                       for x, y in zip(acc, tm.poly_coeffs)]
     p = (math.sqrt(J0) if init.kind == "excited_qubit"
          else start_pulse(cfg, init.pulse).f.numer[0])
