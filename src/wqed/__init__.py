@@ -7,8 +7,7 @@ independent delay-differential-equation integrator.
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
                    TimeSeriesAmplitude, eval_series, eval_term)
-from .diagrams import (CellKind, Diagram, DiagramState, FinisherSpec,
-                       UnitCell, apply_cell, enumerate_diagrams,
+from .diagrams import (Diagram, FinisherSpec, enumerate_diagrams,
                        finish_excitation, finish_field)
 from .errors import (GeometryError, HorizonTooLarge, IllConditioned,
                      NonConvergence, OutOfRange, RealAxisPole, StepTooLarge,

@@ -25,6 +25,7 @@ from . import _kernels
 #: Heaviside value at the step, applied uniformly across the package.
 THETA_AT_ZERO = 0.5
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -231,8 +232,8 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     and their coefficients and in logarithms (tau^k alone overflows for k
     near 171), over the causal terms that switch on before t_f; anti-causal
     terms, which only the backward-time check of a single qubit forms, are
-    left out. It sees the cancellation inside a polynomial and between
-    terms, which the sum of |term(t)| does not.
+    left out; a bound past float64 is inf. It sees the cancellation inside
+    a polynomial and between terms, which the sum of |term(t)| does not.
 
     What it covers under the grid sweep of `_kernels.eval_terms_grid`:
 
@@ -274,6 +275,8 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
             log = math.log(abs(c)) - kappa * tau
             if k:
                 log += k * math.log(tau)
+            if log > _LOG_MAX:
+                return math.inf         # past float64, as is the bound
             size += math.exp(log)
         total += len(tm.poly_coeffs) * size
     return _EPS * total

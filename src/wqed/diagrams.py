@@ -21,8 +21,11 @@ qubit and delay into one integer polynomial, on which a transmission acts
 as 1 + z and a reflection as z whatever the number of scatterings, and
 `class_rows` writes each polynomial's residues in closed form. The field
 follows from the amplitudes (see `evaluator`). `enumerate_diagrams` walks
-the binary tree path by path, with qubit or field finishers whose residues
-come from `momentum`'s partial fractions, and is kept as the reference the
+the binary tree path by path and keeps of each path what is read of it:
+its finisher, its numbers of transmissions and reflections, its rational
+function (the product of `momentum`'s coefficients along the path) and
+its delay. Its qubit and field finishers take their residues from
+`momentum`'s partial fractions, and it is kept as the reference the
 polynomials and the field are tested against.
 """
 
@@ -32,11 +35,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import NamedTuple
 
 from .core import ChainConfig, DelayedTerm, InitialCondition, TimeSeriesAmplitude
-from .errors import GeometryError, HorizonTooLarge
+from .errors import GeometryError, HorizonTooLarge, IllConditioned
 from .momentum import (_MAX_ORDER, RationalFn, coeff_e, coeff_r, coeff_t,
                        inverse_transform, mul, pulse_prefactor, pulse_spectrum,
                        simple_pole)
@@ -47,42 +49,15 @@ DIAGRAM_CAP = 10 ** 6
 _GEOM_TOL = 1e-9
 
 
-class CellKind(Enum):
-    STARTER_EXCITED = "starter_excited"
-    STARTER_PULSE = "starter_pulse"
-    FREE_PROP = "free_prop"
-    TRANSMIT = "transmit"
-    REFLECT = "reflect"
-    FINISH_QUBIT = "finish_qubit"
-    FINISH_FIELD = "finish_field"
-
-
-@dataclass(frozen=True)
-class UnitCell:
-    kind: CellKind
-    qubit: int | None = None
-    length: float | None = None
-    branch: str | None = None      # photon direction for FREE_PROP / FINISH_FIELD
-
-    def sort_key(self):
-        return (self.kind.value, -1 if self.qubit is None else self.qubit,
-                0.0 if self.length is None else self.length, self.branch or "")
-
-
-@dataclass(frozen=True)
-class DiagramState:
-    """Accumulated cascade state: rational part, delay, photon location."""
-
-    f: RationalFn
-    delay: float
-    position: float
-    direction: str | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FinisherSpec:
+    """Where a diagram is read out: the excitation of `qubit`, or the field
+    ("field"). A field finisher of a walked diagram also names the qubit
+    the photon leaves and its outgoing `branch`, "right" or "left"."""
+
     kind: str                 # "qubit" | "field"
     qubit: int | None = None
+    branch: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("qubit", "field"):
@@ -91,109 +66,35 @@ class FinisherSpec:
             raise ValueError("qubit finisher needs a qubit index")
 
 
-@dataclass(frozen=True)
-class Diagram:
-    """A completed cascade with cached accumulated quantities.
+class Diagram(NamedTuple):
+    """One path of the tree walk: its finisher, its numbers of
+    transmissions `n_t` and reflections `n_r`, its rational function `f`
+    and its total delay.
 
-    `f` is the rational function accumulated through the propagators (the
-    finisher coefficient is applied by finish_excitation / finish_field).
-    `self_decay` marks the zero-propagator survival diagram of an initially
-    excited qubit, whose momentum integrand runs over both momentum branches
-    and therefore does not factor as starter times pickup coefficient.
+    `f` is the starter times the scattering coefficients along the path
+    (the finisher coefficient is applied by finish_excitation /
+    finish_field). `self_decay` marks the zero-propagator survival diagram
+    of an initially excited qubit, whose momentum integrand runs over both
+    momentum branches and therefore does not factor as starter times
+    pickup coefficient.
     """
 
-    cells: tuple[UnitCell, ...]
+    finisher: FinisherSpec
+    n_t: int
+    n_r: int
     f: RationalFn
     total_delay: float
     self_decay: bool = False
-
-    @property
-    def finisher(self) -> UnitCell:
-        return self.cells[-1]
-
-    def sort_key(self):
-        return (self.total_delay, tuple(c.sort_key() for c in self.cells))
 
 
 def _starter_excited(j0: float) -> RationalFn:
     return simple_pole(math.sqrt(j0), -1j * j0)
 
 
-def _adjacent(cfg: ChainConfig, position: float, direction: str) -> int | None:
-    """Index of the next qubit the photon meets, or None if it exits."""
-    for idx, x in enumerate(cfg.positions):
-        if direction == "right" and x > position + _GEOM_TOL:
-            return idx
-        if direction == "left" and x < position - _GEOM_TOL:
-            last = None
-            for jdx, y in enumerate(cfg.positions):
-                if y < position - _GEOM_TOL:
-                    last = jdx
-            return last
-    return None
-
-
-def _qubit_at(cfg: ChainConfig, position: float) -> int:
-    for idx, x in enumerate(cfg.positions):
-        if abs(x - position) <= _GEOM_TOL:
-            return idx
-    raise GeometryError(f"no qubit at position {position}")
-
-
-def apply_cell(cfg: ChainConfig, state: DiagramState | None,
-               cell: UnitCell) -> DiagramState:
-    """Fold one unit cell into the cascade state (Rules 1-3)."""
-    k = cell.kind
-    if state is None:
-        if k is CellKind.STARTER_EXCITED:
-            return DiagramState(_starter_excited(cfg.j0), 0.0,
-                                cfg.positions[cell.qubit], None)
-        if k is CellKind.STARTER_PULSE:
-            raise GeometryError("pulse starter must be applied via start_pulse")
-        raise GeometryError("cascade must begin with a starter")
-    if k in (CellKind.STARTER_EXCITED, CellKind.STARTER_PULSE):
-        raise GeometryError("starter in the middle of a cascade")
-    if k is CellKind.FREE_PROP:
-        if cell.length is None or cell.length <= 0:
-            raise GeometryError("free propagation needs a positive length")
-        direction = cell.branch or state.direction
-        if direction is None:
-            raise GeometryError("free propagation needs a direction")
-        if state.direction is not None and direction != state.direction:
-            raise GeometryError("free propagation against the photon direction")
-        sign = 1.0 if direction == "right" else -1.0
-        new_pos = state.position + sign * cell.length
-        _qubit_at(cfg, new_pos)  # must land on a qubit
-        nxt = _adjacent(cfg, state.position, direction)
-        if nxt is None or abs(cfg.positions[nxt] - new_pos) > _GEOM_TOL:
-            raise GeometryError("free propagation must connect adjacent qubits")
-        return DiagramState(state.f, state.delay + cell.length, new_pos, direction)
-    if k is CellKind.TRANSMIT:
-        _require_at(cfg, state, cell.qubit)
-        return replace(state, f=mul(state.f, coeff_t(cfg.j0)))
-    if k is CellKind.REFLECT:
-        _require_at(cfg, state, cell.qubit)
-        flipped = {"right": "left", "left": "right", None: None}[state.direction]
-        return replace(state, f=mul(state.f, coeff_r(cfg.j0)), direction=flipped)
-    raise GeometryError(f"cannot cascade through finisher cell {k}")
-
-
-def _require_at(cfg: ChainConfig, state: DiagramState, qubit: int | None) -> None:
-    if qubit is None or abs(cfg.positions[qubit] - state.position) > _GEOM_TOL:
-        raise GeometryError("scattering cell does not match photon position")
-
-
-def start_pulse(cfg: ChainConfig, spec) -> DiagramState:
-    """Initial cascade state for an incident pulse (front outside the chain)."""
-    entry = cfg.positions[spec.entry(cfg.num_qubits)]
-    f, _ = pulse_spectrum(spec, cfg.omega, entry)
-    return DiagramState(f, 0.0, spec.front(entry), spec.direction)
-
-
 def finish_excitation(cfg: ChainConfig, d: Diagram) -> TimeSeriesAmplitude:
     """Rule 4.1: qubit excitation coefficient from a completed diagram."""
     fin = d.finisher
-    if fin.kind is not CellKind.FINISH_QUBIT:
+    if fin.kind != "qubit":
         raise GeometryError("diagram does not end in a qubit finisher")
     if d.self_decay:
         # Survival amplitude of the initially excited qubit: the momentum
@@ -214,8 +115,7 @@ def field_terms(cfg: ChainConfig, d: Diagram) -> tuple[DelayedTerm, ...]:
     x only shifts every term delay by +(x - x_from) for right-movers and
     -(x - x_from) for left-movers.
     """
-    fin = d.finisher
-    if fin.kind is not CellKind.FINISH_FIELD:
+    if d.finisher.kind != "field":
         raise GeometryError("diagram does not end in a field finisher")
     terms = inverse_transform(d.f, d.total_delay, cfg.omega)
     _assert_causal(terms)
@@ -259,73 +159,64 @@ def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
                        target: FinisherSpec, t_f: float) -> list[Diagram]:
     """All diagrams for `target` with total delay strictly below t_f.
 
-    Deterministic output order: by total delay, ties broken by the cell
-    sequence. Raises HorizonTooLarge past DIAGRAM_CAP diagrams.
+    The walk follows the photon path by path: at every qubit it meets, the
+    path's rational function is multiplied by the transmission or the
+    reflection coefficient, and the photon goes on in the same or the
+    opposite direction, or leaves the chain. A qubit finisher reads a path
+    out on its arrival at the target qubit; field finishers read it out
+    on the outgoing branch after each scattering, and after the emission
+    of an excited qubit. Deterministic output order: by (total delay,
+    finisher, #T, #R); two paths equal in these are equal diagrams.
+    Raises HorizonTooLarge past DIAGRAM_CAP diagrams.
     """
     if t_f <= 0:
         raise ValueError("t_f must be positive")
     want_qubit = target.kind == "qubit"
+    t, r = coeff_t(cfg.j0), coeff_r(cfg.j0)
+    flip = {"right": "left", "left": "right"}
     out: list[Diagram] = []
-    budget = [DIAGRAM_CAP]
 
-    def emit(cells, f, delay, self_decay=False):
-        out.append(Diagram(tuple(cells), f, delay, self_decay=self_decay))
-        budget[0] -= 1
-        if budget[0] < 0:
+    def emit(finisher, n_t, n_r, f, delay, self_decay=False):
+        out.append(Diagram(finisher, n_t, n_r, f, delay, self_decay))
+        if len(out) > DIAGRAM_CAP:
             raise HorizonTooLarge(f"diagram cap {DIAGRAM_CAP} exceeded before "
                                   f"t_f={t_f}")
 
-    def walk(cells, f, delay, at, direction):
+    def walk(at, direction, n_t, n_r, f, delay):
+        """The photon meets qubit `at`, moving in `direction`."""
         if delay >= t_f:
             return
         if want_qubit and target.qubit == at:
-            emit(cells + [UnitCell(CellKind.FINISH_QUBIT, qubit=at)], f, delay)
-        # transmit branch
-        f_t = mul(f, coeff_t(cfg.j0))
-        cells_t = cells + [UnitCell(CellKind.TRANSMIT, qubit=at)]
-        if not want_qubit:
-            emit(cells_t + [UnitCell(CellKind.FINISH_FIELD, qubit=at,
-                                     branch=direction)], f_t, delay)
-        _continue(cells_t, f_t, delay, at, direction)
-        # reflect branch
-        f_r = mul(f, coeff_r(cfg.j0))
-        flipped = "left" if direction == "right" else "right"
-        cells_r = cells + [UnitCell(CellKind.REFLECT, qubit=at)]
-        if not want_qubit:
-            emit(cells_r + [UnitCell(CellKind.FINISH_FIELD, qubit=at,
-                                     branch=flipped)], f_r, delay)
-        _continue(cells_r, f_r, delay, at, flipped)
+            emit(target, n_t, n_r, f, delay)
+        for branch, nt, nr, g in ((direction, n_t + 1, n_r, mul(f, t)),
+                                  (flip[direction], n_t, n_r + 1, mul(f, r))):
+            if not want_qubit:
+                emit(FinisherSpec("field", at, branch), nt, nr, g, delay)
+            leave(at, branch, nt, nr, g, delay)
 
-    def _continue(cells, f, delay, at, direction):
+    def leave(at, direction, n_t, n_r, f, delay):
+        """The photon leaves qubit `at` in `direction`."""
         nxt = at + 1 if direction == "right" else at - 1
-        if not (0 <= nxt < cfg.num_qubits):
-            return  # photon leaves the system, branch terminates
-        dist = abs(cfg.positions[nxt] - cfg.positions[at])
-        walk(cells + [UnitCell(CellKind.FREE_PROP, length=dist,
-                               branch=direction)], f, delay + dist, nxt, direction)
+        if 0 <= nxt < cfg.num_qubits:      # else it leaves the chain
+            walk(nxt, direction, n_t, n_r, f,
+                 delay + abs(cfg.positions[nxt] - cfg.positions[at]))
 
     if init.kind == "excited_qubit":
         src = init.qubit
-        base = [UnitCell(CellKind.STARTER_EXCITED, qubit=src)]
         f0 = _starter_excited(cfg.j0)
         if want_qubit and target.qubit == src:
-            emit(base + [UnitCell(CellKind.FINISH_QUBIT, qubit=src)],
-                 f0, 0.0, self_decay=True)
+            emit(target, 0, 0, f0, 0.0, self_decay=True)
         for direction in ("right", "left"):
             if not want_qubit:
-                emit(base + [UnitCell(CellKind.FINISH_FIELD, qubit=src,
-                                      branch=direction)], f0, 0.0)
-            _continue(base, f0, 0.0, src, direction)
+                emit(FinisherSpec("field", src, direction), 0, 0, f0, 0.0)
+            leave(src, direction, 0, 0, f0, 0.0)
     else:
         spec = init.pulse
-        state = start_pulse(cfg, spec)
         entry = spec.entry(cfg.num_qubits)
-        cells = [UnitCell(CellKind.STARTER_PULSE),
-                 UnitCell(CellKind.FREE_PROP, length=spec.x0,
-                          branch=spec.direction)]
-        walk(cells, state.f, spec.x0, entry, spec.direction)
+        f0, delay = pulse_spectrum(spec, cfg.omega, cfg.positions[entry])
+        walk(entry, spec.direction, 0, 0, f0, delay)
 
-    out.sort(key=Diagram.sort_key)
+    out.sort(key=lambda d: (d.total_delay, d.finisher, d.n_t, d.n_r))
     return out
 
 
@@ -485,8 +376,8 @@ def _class_dp(cfg: ChainConfig, init: InitialCondition,
     return out, visited
 
 
-#: k! for k < _MAX_ORDER, as exact integers: an excited start's residue
-#: coefficients c_j / j! are then correctly rounded quotients.
+#: k! for k < _MAX_ORDER, as exact integers, for the correctly rounded
+#: quotients of `class_rows`.
 _FACTORIAL = tuple(math.factorial(k) for k in range(_MAX_ORDER))
 
 
@@ -523,6 +414,20 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
     cancel up to ((2 J0 - sigma) / sigma)^E of its digits. The paths of
     one qubit share the parity of E, so the terms of g share one sign.
 
+    With J0 = a / b in integers, J0^(j-1) c_j / j! is formed as the one
+    correctly rounded quotient c_j b a^j / (j! a b^j). With the sigma
+    factor the recurrence runs on gamma_j = beta_j / J0^j,
+
+        gamma_j = (c_j - J0 gamma_(j+1)) / (J0 - sigma),
+
+    from the exact counts, and the coefficient is gamma_j times J0^j / j!,
+    the quotient a^j / (j! b^j). No power of J0 and no j! is a float of
+    its own, so nothing overflows before a coefficient does. A quotient
+    beyond float64 raises IllConditioned; a gamma_j that overflows is inf,
+    and the rounding bound refuses it. (A recurrence on beta_j / j! would
+    round c_j / j! ahead of the recurrence's cancellation: up to 1,466
+    eps from exact rationals at sigma = J0 / 5, where this form keeps 2.)
+
     Pole orders above 171 raise HorizonTooLarge before any coefficient is
     formed: (m-1)! overflows float64 for a pole of order m.
     """
@@ -534,24 +439,41 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
         spec = init.pulse
         pref = pulse_prefactor(spec, cfg.omega, cfg.positions[
             spec.entry(cfg.num_qubits)]) * math.sqrt(j0)
+    top = max((len(c.counts) for c in polys), default=0)
+    if top > _MAX_ORDER:
+        raise HorizonTooLarge(f"pole order {top} exceeds {_MAX_ORDER}: "
+                              f"({top}-1)! overflows float64")
+    a, b = j0.as_integer_ratio()
+    ratio = []                          # J0^j / j! = a^j / (j! b^j) at j
+    pa = pb = 1
+    for j in range(top):
+        ratio.append((pa, _FACTORIAL[j] * pb))
+        pa, pb = pa * a, pb * b
+    if sigma is not None:
+        scale = [_quotient(p, q) for p, q in ratio]
     out = []
     for c in polys:
-        m = len(c.counts)
-        if m > _MAX_ORDER:
-            raise HorizonTooLarge(f"pole order {m} exceeds {_MAX_ORDER}: "
-                                  f"({m}-1)! overflows float64")
-        coeffs = [0j] * m                   # tau^j at j
+        coeffs = [0j] * len(c.counts)       # tau^j at j
         if sigma is None:
             for j, i in enumerate(c.counts):
-                x = i / _FACTORIAL[j] * j0 ** (j - 1)
+                num, den = ratio[j]
+                x = _quotient(i * b * num, a * den)
                 coeffs[j] = pref * (-x if j % 2 else x)
             out.append([(-1j * j0, coeffs)])
             continue
         d = j0 - sigma
-        beta = 0.0
-        for j in range(m - 1, -1, -1):
-            beta = (c.counts[j] * j0 ** j - beta) / d
-            x = beta / _FACTORIAL[j]
+        gamma = 0.0
+        for j in range(len(c.counts) - 1, -1, -1):
+            gamma = (c.counts[j] - j0 * gamma) / d
+            x = gamma * scale[j]
             coeffs[j] = pref * (-x if j % 2 else x)
         out.append([(-1j * sigma, [pref * c.residue]), (-1j * j0, coeffs)])
     return out
+
+
+def _quotient(p: int, q: int) -> float:
+    """p / q correctly rounded; IllConditioned where it exceeds float64."""
+    try:
+        return p / q
+    except OverflowError:
+        raise IllConditioned("a class coefficient exceeds float64") from None

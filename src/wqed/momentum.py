@@ -23,9 +23,8 @@ only for tau < 0 (anti-causal terms, flagged).
 The amplitude engine splits no partial fractions: its class functions have
 poles only at -iJ0 and at a pulse's -i*sigma, and `diagrams.class_rows`
 writes their residues in closed form. `partial_fractions` and
-`inverse_transform` are the reference behind the per-cell rules
-(`diagrams.apply_cell`), the per-path tree walk and the tests of that
-closed form.
+`inverse_transform` are the reference behind the per-path tree walk
+(`diagrams.enumerate_diagrams`) and the tests of that closed form.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class RationalFn:
     """numerator(D) / prod (D - p)^m with a monic denominator.
 
     deg(numerator) <= sum of multiplicities always holds; equality means the
-    function carries a constant part (e.g. the transmission coefficient),
-    which `split_constant` separates off exactly.
+    function carries a constant part (e.g. the transmission coefficient)
+    and is not strictly proper.
     """
 
     numer: tuple[complex, ...]                 # ascending coefficients
@@ -92,20 +91,6 @@ class RationalFn:
     def is_strictly_proper(self) -> bool:
         return len(self.numer) - 1 < self.total_multiplicity or self.numer == (0j,)
 
-    def constant_part(self) -> complex:
-        if len(self.numer) - 1 == self.total_multiplicity and self.numer != (0j,):
-            return self.numer[-1]
-        return 0j
-
-    def split_constant(self) -> tuple[complex, "RationalFn"]:
-        """Exact split into constant + strictly proper remainder."""
-        c = self.constant_part()
-        if c == 0:
-            return 0j, self
-        den = _denominator(self.poles)
-        rem = np.asarray(self.numer, dtype=complex) - c * den
-        return c, RationalFn(tuple(rem[:-1]) or (0j,), self.poles)
-
     def __call__(self, delta):
         delta = np.asarray(delta, dtype=complex)
         num = np.zeros_like(delta)
@@ -116,18 +101,6 @@ class RationalFn:
             den = den * (delta - p) ** m
         out = num / den
         return out if out.ndim else complex(out)
-
-
-def _denominator(poles) -> np.ndarray:
-    den = np.array([1.0 + 0j])
-    for p, m in poles:
-        for _ in range(m):
-            den = np.convolve(den, np.array([-p, 1.0 + 0j]))
-    return den
-
-
-def constant(c: complex) -> RationalFn:
-    return RationalFn((complex(c),), ())
 
 
 def simple_pole(prefactor: complex, pole: complex) -> RationalFn:

@@ -167,19 +167,12 @@ def step_divisor(L: float, m: int, gamma0: float) -> int:
     return m
 
 
-def single_qubit_alpha(t, gamma0: float, mode: str = "closed",
-                       dt: float = 1e-3):
-    """Lone-qubit amplitude exp(-gamma0*|t|/2), both time directions.
-
-    mode="closed" evaluates the closed form; mode="ode" integrates
-    d alpha/dt = -(gamma0/2) sign(t) alpha from 0 towards t with RK4 (the
-    sign makes the solution decay into both past and future).
+def single_qubit_alpha(t, gamma0: float, dt: float = 1e-3):
+    """Lone-qubit amplitude in both time directions, integrated: RK4 on
+    d alpha/dt = -(gamma0/2) sign(t) alpha from 0 towards t (the sign makes
+    the solution decay into both past and future), an independent check
+    of the closed form exp(-gamma0*|t|/2).
     """
-    if mode == "closed":
-        val = np.exp(-gamma0 * np.abs(np.asarray(t, dtype=float)) / 2.0)
-        return val if np.ndim(t) else complex(val)
-    if mode != "ode":
-        raise ValueError("mode must be 'closed' or 'ode'")
     tt = float(t)
     if tt == 0.0:
         return 1.0 + 0j

@@ -185,7 +185,7 @@ def test_criterion_5_markovian_limit():
 def test_criterion_6_single_qubit_both_time_directions():
     g0 = 2.0
     ts = np.linspace(-5.0 / g0, 5.0 / g0, 201)
-    worst = max(abs(abs(oracle.single_qubit_alpha(float(t), g0, mode="ode"))
+    worst = max(abs(abs(oracle.single_qubit_alpha(float(t), g0))
                     - np.exp(-g0 * abs(t) / 2)) for t in ts)
     # residue path for the symmetric spectrum 2J0/(D^2+J0^2): the pole in the
     # upper half plane produces the backward-time branch e^{+J0 t} Theta(-t)

@@ -352,6 +352,17 @@ def test_pulse_near_j0_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_large_j0_simulate_exits_0(tmp_path):
+    """J0 = 100 at spacing 0.05: J0^j alone overflows float64 below the
+    horizon's 160 hops, the coefficients J0^j / j! do not."""
+    conf = _write_config(tmp_path, chain={"n": 2, "omega": 200.0,
+                                          "j0": 100.0, "separation": 0.05},
+                         horizon=8.0)
+    rc = cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),
+                   "--observables", "e:1"])
+    assert rc == 0
+
+
 def test_check_causality_passes(tmp_path, capsys):
     conf = _write_config(tmp_path)
     rc = cli.main(["check", "--what", "causality", conf])

@@ -10,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from wqed import diagrams, oracle
 from wqed.core import (ChainConfig, InitialCondition, PulseSpec,
                        TimeSeriesAmplitude, eval_term)
-from wqed.diagrams import (CellKind, ClassPolynomial, Diagram, FinisherSpec,
-                           UnitCell, apply_cell, class_polynomials, class_rows,
+from wqed.diagrams import (ClassPolynomial, Diagram, FinisherSpec,
+                           _starter_excited, class_polynomials, class_rows,
                            enumerate_diagrams, field_segment, field_terms,
-                           finish_excitation, finish_field, start_pulse)
+                           finish_excitation, finish_field)
 from wqed.errors import GeometryError, HorizonTooLarge, IllConditioned
 from wqed.evaluator import excitation_amplitude, field_profile
 from wqed.momentum import (coeff_e, coeff_r, coeff_t, inverse_transform, mul,
-                           simple_pole)
+                           pulse_spectrum, simple_pole)
 
 
 def fermi_cfg(L=1.0, omega=4.0, j0=1.0):
@@ -25,61 +25,19 @@ def fermi_cfg(L=1.0, omega=4.0, j0=1.0):
 
 
 def test_apply_cell_worked_example():
-    """Starter at the left qubit, one hop, absorbed at the right qubit."""
+    """Starter at the left qubit, one hop, absorbed at the right qubit: the
+    walk's one diagram below 2 L."""
     cfg = fermi_cfg(L=1.0)
-    s = apply_cell(cfg, None, UnitCell(CellKind.STARTER_EXCITED, qubit=0))
-    assert s.delay == 0.0
-    s = apply_cell(cfg, s, UnitCell(CellKind.FREE_PROP, length=1.0,
-                                    branch="right"))
-    assert s.delay == 1.0
-    assert s.position == cfg.positions[1]
-    d = Diagram(cells=(UnitCell(CellKind.STARTER_EXCITED, qubit=0),
-                       UnitCell(CellKind.FREE_PROP, length=1.0, branch="right"),
-                       UnitCell(CellKind.FINISH_QUBIT, qubit=1)),
-                f=s.f, total_delay=s.delay)
+    (d,) = enumerate_diagrams(cfg, InitialCondition.excited(0),
+                              FinisherSpec("qubit", 1), 2.0)
+    assert (d.finisher, d.n_t, d.n_r, d.total_delay, d.self_decay) \
+        == (FinisherSpec("qubit", 1), 0, 0, 1.0, False)
     amp = finish_excitation(cfg, d)
     (tm,) = amp.terms
     assert tm.delay == pytest.approx(1.0)
     assert tm.pole == pytest.approx(-1j)
     assert tm.carrier == cfg.omega
     np.testing.assert_allclose(tm.poly_coeffs, (0.0, -1.0), atol=1e-14)
-
-
-def test_free_prop_geometry_errors():
-    cfg = fermi_cfg(L=1.0)
-    s = apply_cell(cfg, None, UnitCell(CellKind.STARTER_EXCITED, qubit=0))
-    with pytest.raises(GeometryError):
-        apply_cell(cfg, s, UnitCell(CellKind.FREE_PROP, length=0.5,
-                                    branch="right"))
-    with pytest.raises(GeometryError):
-        apply_cell(cfg, s, UnitCell(CellKind.FREE_PROP, length=-1.0,
-                                    branch="right"))
-    # scattering cell at the wrong position
-    with pytest.raises(GeometryError):
-        apply_cell(cfg, s, UnitCell(CellKind.TRANSMIT, qubit=1))
-
-
-def test_starter_must_come_first():
-    cfg = fermi_cfg()
-    with pytest.raises(GeometryError):
-        apply_cell(cfg, None, UnitCell(CellKind.FREE_PROP, length=1.0,
-                                       branch="right"))
-    s = apply_cell(cfg, None, UnitCell(CellKind.STARTER_EXCITED, qubit=0))
-    with pytest.raises(GeometryError):
-        apply_cell(cfg, s, UnitCell(CellKind.STARTER_EXCITED, qubit=1))
-
-
-def test_reflect_flips_direction():
-    cfg = fermi_cfg(L=1.0)
-    s = apply_cell(cfg, None, UnitCell(CellKind.STARTER_EXCITED, qubit=0))
-    s = apply_cell(cfg, s, UnitCell(CellKind.FREE_PROP, length=1.0,
-                                    branch="right"))
-    s = apply_cell(cfg, s, UnitCell(CellKind.REFLECT, qubit=1))
-    assert s.direction == "left"
-    s = apply_cell(cfg, s, UnitCell(CellKind.FREE_PROP, length=1.0,
-                                    branch="left"))
-    assert s.position == cfg.positions[0]
-    assert s.delay == 2.0
 
 
 def _brute_force_paths(cfg, src, target, t_f):
@@ -132,11 +90,12 @@ def test_enumeration_uneven_spacing():
 def test_enumeration_deterministic_and_sorted():
     cfg = ChainConfig(3, 4.0, 1.0, 1.0)
     init = InitialCondition.excited(1)
-    a = enumerate_diagrams(cfg, init, FinisherSpec("qubit", 0), 7.0)
-    b = enumerate_diagrams(cfg, init, FinisherSpec("qubit", 0), 7.0)
-    assert [d.cells for d in a] == [d.cells for d in b]
-    delays = [d.total_delay for d in a]
-    assert delays == sorted(delays)
+    for target in (FinisherSpec("qubit", 0), FinisherSpec("field")):
+        a = enumerate_diagrams(cfg, init, target, 7.0)
+        b = enumerate_diagrams(cfg, init, target, 7.0)
+        assert a == b
+        keys = [(d.total_delay, d.finisher, d.n_t, d.n_r) for d in a]
+        assert keys == sorted(keys)
 
 
 def test_horizon_strictness():
@@ -185,16 +144,15 @@ def test_finish_field_off_segment():
     cfg = fermi_cfg(L=2.0)
     init = InitialCondition.excited(0)
     ds = enumerate_diagrams(cfg, init, FinisherSpec("field"), 0.5)
-    right = [d for d in ds if d.finisher.branch == "right"][0]
+    (right,) = [d for d in ds if d.finisher.branch == "right"]
+    assert right.finisher == FinisherSpec("field", 0, "right")
     with pytest.raises(GeometryError):
         finish_field(cfg, right, x=5.0)
 
 
 def test_uhp_pole_assertion():
     cfg = fermi_cfg()
-    bad = Diagram(cells=(UnitCell(CellKind.STARTER_EXCITED, qubit=0),
-                         UnitCell(CellKind.FINISH_QUBIT, qubit=0)),
-                  f=simple_pole(1.0, +1j), total_delay=0.0)
+    bad = Diagram(FinisherSpec("qubit", 0), 0, 0, simple_pole(1.0, +1j), 0.0)
     with pytest.raises(AssertionError):
         finish_excitation(cfg, bad)
 
@@ -202,9 +160,6 @@ def test_uhp_pole_assertion():
 def test_pulse_start_state():
     cfg = fermi_cfg(L=1.0)
     spec = PulseSpec(1.0, 2.0, "right")
-    s = start_pulse(cfg, spec)
-    assert s.position == pytest.approx(cfg.positions[0] - 2.0)
-    assert s.direction == "right"
     ds = enumerate_diagrams(cfg, InitialCondition.incident(spec),
                             FinisherSpec("qubit", 0), 2.0 + 1e-9)
     assert len(ds) == 1
@@ -215,20 +170,12 @@ def test_pulse_start_state():
 # Weighted diagram classes against the per-path tree walk
 # ---------------------------------------------------------------------------
 
-def _scatter_counts(d):
-    n_t = sum(c.kind is CellKind.TRANSMIT for c in d.cells)
-    n_r = sum(c.kind is CellKind.REFLECT for c in d.cells)
-    return n_t, n_r
-
-
-def _finisher_key(fin):
-    return fin.kind, fin.qubit, fin.branch
-
-
 def _tree_counts(diagrams):
-    """Path count per (finisher, delay, #T, #R, self_decay) of the walk."""
-    return Counter((_finisher_key(d.finisher), d.total_delay)
-                   + _scatter_counts(d) + (d.self_decay,) for d in diagrams)
+    """Path count per (finisher, delay, #T, #R, self_decay) of the walk,
+    the finisher as (kind, qubit, branch)."""
+    return Counter(((d.finisher.kind, d.finisher.qubit, d.finisher.branch),
+                    d.total_delay, d.n_t, d.n_r, d.self_decay)
+                   for d in diagrams)
 
 
 def _path_polynomial(n_t, n_r, self_decay, sigma_pole):
@@ -296,7 +243,7 @@ def _path_counts(cfg, src, target, t_f):
     with their multiplicity."""
     n = cfg.num_qubits
     seps = [abs(b - a) for a, b in zip(cfg.positions, cfg.positions[1:])]
-    fin = (CellKind.FINISH_QUBIT, target, None)
+    fin = ("qubit", target, None)
     out = Counter({(fin, 0.0, 0, 0, True): 1} if target == src else {})
     frontier = Counter((src + d, d, seps[min(src, src + d)], 0, 0)
                        for d in (1, -1) if 0 <= src + d < n)
@@ -334,8 +281,9 @@ def _per_path_field(cfg, init, t, xs):
                        field_terms(cfg, d)))
     if init.kind == "pulse":
         spec = init.pulse
-        terms = tuple(inverse_transform(start_pulse(cfg, spec).f, spec.x0,
-                                        cfg.omega))
+        f, delay = pulse_spectrum(spec, cfg.omega,
+                                  cfg.positions[spec.entry(cfg.num_qubits)])
+        terms = tuple(inverse_transform(f, delay, cfg.omega))
         if spec.direction == "right":
             x = cfg.positions[0]
             pieces.append(("right", -np.inf, x, x, terms))
@@ -607,9 +555,9 @@ def test_class_function_is_the_product_of_coefficients():
         if self_decay:
             f = simple_pole(1j, -1j * cfg.j0)
         else:
-            f = (start_pulse(cfg, init.pulse).f if init.kind == "pulse"
-                 else apply_cell(cfg, None, UnitCell(
-                     CellKind.STARTER_EXCITED, qubit=init.qubit)).f)
+            f = (pulse_spectrum(init.pulse, cfg.omega, cfg.positions[
+                init.pulse.entry(cfg.num_qubits)])[0]
+                 if init.kind == "pulse" else _starter_excited(cfg.j0))
             for coeff in [coeff_t] * n_t + [coeff_r] * n_r + [coeff_e]:
                 f = mul(f, coeff(cfg.j0))
         ref = inverse_transform(f, 0.0, cfg.omega)

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from wqed.core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
                        TimeSeriesAmplitude, rounding_bound)
-from wqed.diagrams import (CellKind, ClassPolynomial, FinisherSpec,
-                           class_rows, enumerate_diagrams, start_pulse)
+from wqed.diagrams import (ClassPolynomial, FinisherSpec, class_rows,
+                           enumerate_diagrams)
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
 from wqed import _kernels, evaluator, fermi, momentum, oracle
@@ -258,12 +258,42 @@ def test_rounding_bound_refuses_lost_digits(n, sigma, t_f):
                                         (1.0001, 120.0), (1.003, 160.0)])
 def test_pulse_near_j0_is_refused_with_a_typed_error(sigma, t_f):
     """Near sigma = J0 the coefficients grow like 1/|J0 - sigma|^E until
-    they overflow, well below the pole-order cap; the answer is refused
-    with IllConditioned, not lost to an arithmetic error."""
+    they or their rounding bound overflow, well below the pole-order cap;
+    the answer is refused with IllConditioned, not lost to an arithmetic
+    error."""
     cfg2 = ChainConfig(2, 10.0, 1.0, 1.0)
     init = InitialCondition.incident(PulseSpec(sigma, 0.125))
     with pytest.raises(IllConditioned):
         excitation_amplitude(cfg2, init, 1, t_f)
+
+
+#: J0 = 100 at spacing 0.05: 160 hops below t = 8, and J0^j alone passes
+#: float64 from j = 155 on, where the coefficients J0^j / j! do not.
+_LARGE_J0 = ChainConfig(2, 200.0, 100.0, 0.05)
+
+
+def test_large_j0_excited_matches_the_fermi_series():
+    amp = excitation_amplitude(_LARGE_J0, InitialCondition.excited(0), 1, 8.0)
+    ts = np.linspace(0.0, 8.0, 2001)[:-1]
+    want = fermi.fermi_e1(ts, 100.0, 200.0, 0.05)
+    assert np.max(np.abs(amp(ts) - want)) < 1e-13
+
+
+def test_large_j0_pulse_matches_the_oracle():
+    init = InitialCondition.incident(PulseSpec(300.0, 0.025))
+    amp = excitation_amplitude(_LARGE_J0, init, 1, 8.0)
+    hist = oracle.integrate_chain(_LARGE_J0, init, 8.0, 0.05 / 256)
+    ts = hist.times()
+    keep = ts < 8.0
+    assert np.max(np.abs(amp(ts[keep]) - hist.amplitudes(1)[keep])) < 1e-8
+
+
+def test_large_j0_pulse_lost_to_cancellation_is_refused():
+    """sigma = J0 / 2: the coefficients are finite, and their rounding
+    bound, 4.5e34, refuses the answer."""
+    init = InitialCondition.incident(PulseSpec(50.0, 0.025))
+    with pytest.raises(IllConditioned):
+        excitation_amplitude(_LARGE_J0, init, 1, 8.0)
 
 
 def _exact_series(series, ts):
@@ -508,9 +538,7 @@ def _walk_classes(cfg, init, qubits, t_f):
     out = {}
     for q in qubits:
         for d in enumerate_diagrams(cfg, init, FinisherSpec("qubit", q), t_f):
-            kinds = [c.kind for c in d.cells]
-            key = (q, d.total_delay, kinds.count(CellKind.TRANSMIT),
-                   kinds.count(CellKind.REFLECT), d.self_decay)
+            key = (q, d.total_delay, d.n_t, d.n_r, d.self_decay)
             out[key] = out.get(key, 0) + 1
     return out
 
@@ -740,30 +768,30 @@ def _cdiv(x, y):
     return ((x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d)
 
 
-def _exact_class_rows(n_t, n_r, sigma):
-    """One class's terms over p sqrt(J0) for J0 = 1, by the per-class
-    formula (K = p sqrt(J0) (-iJ0)^n_r, b_r = C(n_t, r) (-iJ0)^(n_t - r),
-    b_r <- (b_r - b_(r-1)) / i(sigma - J0), the residue at -i sigma) in
-    exact rationals: {pole: [(re, im)]}. sigma is None where -iJ0 is the
-    only pole."""
+def _exact_class_rows(n_t, n_r, sigma, j0):
+    """One class's terms over p sqrt(J0) for a rational J0 = j0, by the
+    per-class formula (K = p sqrt(J0) (-iJ0)^n_r, b_r = C(n_t, r)
+    (-iJ0)^(n_t - r), b_r <- (b_r - b_(r-1)) / i(sigma - J0), the residue
+    at -i sigma) in exact rationals: {pole: [(re, im)]}. sigma is None
+    where -iJ0 is the only pole."""
     zero = (Fraction(0), Fraction(0))
     a = n_t
     m = n_t + n_r + 1 + (sigma is None)
-    b = [_cmul((math.comb(a, r), 0), _NEG_I[(a - r) % 4]) if r <= a
-         else zero for r in range(m)]
-    k = _NEG_I[n_r % 4]
+    b = [_cmul((math.comb(a, r) * j0 ** (a - r), 0), _NEG_I[(a - r) % 4])
+         if r <= a else zero for r in range(m)]
+    k = _cmul((j0 ** n_r, 0), _NEG_I[n_r % 4])
     rows = {}
     if sigma is not None:
         prev = zero
         for r in range(m):
             prev = b[r] = _cdiv((b[r][0] - prev[0], b[r][1] - prev[1]),
-                                (0, sigma - 1))
+                                (0, sigma - j0))
         den = (1, 0)
         for _ in range(m):
-            den = _cmul(den, (0, 1 - sigma))
+            den = _cmul(den, (0, j0 - sigma))
         residue = _cdiv(_cmul(k, _cmul(_NEG_I[a % 4], (sigma ** a, 0))), den)
         rows[-1j * float(sigma)] = [_cmul(_NEG_I[1], residue)]
-    rows[-1j] = [_cmul(_cmul(k, b[m - j]), _cdiv(_NEG_I[j % 4],
+    rows[-1j * float(j0)] = [_cmul(_cmul(k, b[m - j]), _cdiv(_NEG_I[j % 4],
                                                  (math.factorial(j - 1), 0)))
                  for j in range(1, m + 1)]
     return rows
@@ -790,7 +818,8 @@ def _merged_and_per_class_errors(cfg, init, t_f, sigma):
             cfg, init, qubits, t_f).items():
         if self_decay:
             continue
-        for pole, row in _exact_class_rows(n_t, n_r, sigma).items():
+        for pole, row in _exact_class_rows(n_t, n_r, sigma,
+                                           Fraction(cfg.j0)).items():
             acc = exact.setdefault((q, delay, pole), [])
             acc += [(0, 0)] * (len(row) - len(acc))
             acc[:] = [(x[0] + weight * y[0], x[1] + weight * y[1])
@@ -800,9 +829,10 @@ def _merged_and_per_class_errors(cfg, init, t_f, sigma):
             acc += [0j] * (len(tm.poly_coeffs) - len(acc))
             acc[:] = [x + y * float(weight)
                       for x, y in zip(acc, tm.poly_coeffs)]
-    p = (math.sqrt(J0) if init.kind == "excited_qubit"
-         else start_pulse(cfg, init.pulse).f.numer[0])
-    pref = p * math.sqrt(J0)
+    p = (math.sqrt(cfg.j0) if init.kind == "excited_qubit"
+         else momentum.pulse_prefactor(init.pulse, cfg.omega, cfg.positions[
+             init.pulse.entry(cfg.num_qubits)]))
+    pref = p * math.sqrt(cfg.j0)
     got = {(q, tm.delay, tm.pole): tm.poly_coeffs
            for q, amp in evaluator._class_pass(cfg, init, qubits, t_f).items()
            for tm in amp.terms if tm.delay > 0 or init.kind == "pulse"}
@@ -818,25 +848,30 @@ def _merged_and_per_class_errors(cfg, init, t_f, sigma):
                                                Fraction(7, 8))])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_merged_class_terms_match_exact_rationals(n, gaps):
-    """Excited starts and pulses with sigma = 1, 1/5, 9/10 and 5 at 12 L.
-    At sigma = 9/10 the recurrence's 1/(J0 - sigma) amplifies rounding, in
-    the per-class sums as much. The sigma-pole residue is summed from the
-    path counts: from the binomial sums I_j it would cancel digits for
-    sigma < J0, about 1000 eps for sigma = 1/5 with n = 4."""
+    """Excited starts and pulses with sigma = J0, J0/5, 9 J0/10 and 5 J0 at
+    12 L, for J0 = 1 and 5/2 (whose J0^j / j! are quotients of integers
+    other than 1 and j!). At sigma = 9 J0/10 the recurrence's
+    1/(J0 - sigma) amplifies rounding, in the per-class sums as much. The
+    sigma-pole residue is summed from the path counts: from the binomial
+    sums I_j it would cancel digits for sigma < J0, about 1000 eps for
+    J0 = 1, sigma = 1/5 with n = 4."""
     positions = tuple(float(sum(gaps[:k])) for k in range(n))
-    cfg = ChainConfig(n, 4.0, J0, 0.0, positions=positions)
-    merged, _ = _merged_and_per_class_errors(
-        cfg, InitialCondition.excited(0), 12.0, None)
-    assert merged <= 8
-    for sigma in (Fraction(1), Fraction(1, 5), Fraction(9, 10), Fraction(5)):
-        init = InitialCondition.incident(PulseSpec(float(sigma), 0.5,
-                                                   "right"))
-        merged, reference = _merged_and_per_class_errors(
-            cfg, init, 12.0, None if sigma == 1 else sigma)
-        if sigma == Fraction(9, 10):
-            assert merged <= 2 * reference + 2
-        else:
-            assert merged <= 8
+    for j0 in (Fraction(1), Fraction(5, 2)):
+        cfg = ChainConfig(n, 4.0, float(j0), 0.0, positions=positions)
+        merged, _ = _merged_and_per_class_errors(
+            cfg, InitialCondition.excited(0), 12.0, None)
+        assert merged <= 8
+        for ratio in (Fraction(1), Fraction(1, 5), Fraction(9, 10),
+                      Fraction(5)):
+            sigma = ratio * j0
+            init = InitialCondition.incident(PulseSpec(float(sigma), 0.5,
+                                                       "right"))
+            merged, reference = _merged_and_per_class_errors(
+                cfg, init, 12.0, None if ratio == 1 else sigma)
+            if ratio == Fraction(9, 10):
+                assert merged <= 2 * reference + 2
+            else:
+                assert merged <= 8
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import scipy.integrate
 
 from wqed.core import eval_term
 from wqed.errors import IllConditioned, RealAxisPole
-from wqed.momentum import (RationalFn, coeff_e, coeff_r, coeff_t, constant,
+from wqed.momentum import (RationalFn, coeff_e, coeff_r, coeff_t,
                            inverse_transform, mul, partial_fractions,
                            pulse_spectrum, simple_pole)
 from wqed.core import PulseSpec
@@ -27,16 +27,6 @@ def test_mul_merges_multiplicity():
     f = mul(coeff_r(j0), coeff_e(j0))
     assert f.poles == ((-1j * j0, 2),)
     assert f.is_strictly_proper
-
-
-def test_constant_split():
-    t = coeff_t(2.0)
-    assert not t.is_strictly_proper
-    c, rem = t.split_constant()
-    assert c == pytest.approx(1.0)
-    assert rem.is_strictly_proper
-    d = np.array([0.3 + 0.1j, -2.0 + 1j])
-    np.testing.assert_allclose(t(d), c + rem(d), atol=1e-13)
 
 
 def test_numerator_degree_cap():
@@ -170,9 +160,3 @@ def test_pulse_spectrum_pole():
     norm = np.trapezoid(np.abs(f(d)) ** 2, d) / (2 * np.pi)
     # finite window [-400, 400] truncates ~1e-3 of the Lorentzian tail
     assert norm == pytest.approx(1.0, abs=2e-3)
-
-
-def test_constant_function():
-    c = constant(2.5 + 1j)
-    assert c(0.7) == 2.5 + 1j
-    assert not c.is_strictly_proper

@@ -73,9 +73,8 @@ def test_single_qubit_alpha_modes():
     g0 = 2.0
     assert oracle.single_qubit_alpha(0.0, g0) == 1.0
     for t in (-2.0 / g0 * 2, -1.0, 0.5, 2.0 / g0 * 2):
-        closed = oracle.single_qubit_alpha(t, g0)
-        ode = oracle.single_qubit_alpha(t, g0, mode="ode")
-        assert abs(closed - ode) < 1e-9
+        closed = np.exp(-g0 * abs(t) / 2)
+        assert abs(oracle.single_qubit_alpha(t, g0) - closed) < 1e-9
     assert oracle.single_qubit_alpha(2.0 / g0, g0) == pytest.approx(np.exp(-1))
     assert oracle.single_qubit_alpha(-2.0 / g0, g0) == pytest.approx(np.exp(-1))
 
@@ -84,8 +83,7 @@ def test_backward_time_no_blowup():
     # decay into the past as well: |alpha| <= 1 everywhere
     g0 = 2.0
     ts = np.linspace(-5 / g0, 5 / g0, 41)
-    vals = [abs(oracle.single_qubit_alpha(float(t), g0, mode="ode"))
-            for t in ts]
+    vals = [abs(oracle.single_qubit_alpha(float(t), g0)) for t in ts]
     assert max(vals) <= 1.0 + 1e-12
 
 
