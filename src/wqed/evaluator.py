@@ -18,14 +18,15 @@ The field is the qubits' emission. By the waveguide input-output relation
 
 mirrored for psi_L, with half weight at x = x_q; psi_in is the undisturbed
 incident pulse (zero for an excited start). Each qubit's emission is its
-amplitude series, evaluated by `core.eval_series` at the retarded times of
-a whole array of positions, so one class pass over all qubits gives the
-amplitudes, the field profile and the norm.
-The field norm is Gauss quadrature of that same evaluation, which also
-reads the qubit populations at its time:
-Gauss-Legendre between the fronts and window edges, Gauss-Laguerre on the
-incident pulse's tail, with a node rule whose truncation error is bounded
-below rounding (see `_branch_norm`).
+amplitude series, so one class pass over all qubits gives the amplitudes,
+the field profile and the norm. A snapshot at time t reads each series
+once (`_read`): one `core.eval_series` call at every retarded time of its
+windows on both branches, and at t itself for the qubit population; the
+pulse's series is read once over its whole branch.
+The field norm is Gauss quadrature of that same read, on nodes built per
+branch (`_branch_nodes`): Gauss-Legendre between the fronts and window
+edges, and one Gauss-Laguerre node on the incident pulse's tail, with a
+truncation error bounded below rounding.
 """
 
 from __future__ import annotations
@@ -143,26 +144,27 @@ def all_amplitudes(cfg: ChainConfig, init: InitialCondition,
 # Field: the qubits' emission, read at the retarded times of the positions
 # ---------------------------------------------------------------------------
 
-def _segments(cfg: ChainConfig, init: InitialCondition, t: float,
-              amps: dict[int, TimeSeriesAmplitude]) -> dict[str, list]:
-    """The field at time t by branch: {branch: [(hi, lag, factor, series)]}.
+def _sources(cfg: ChainConfig, init: InitialCondition, t: float,
+             amps: dict[int, TimeSeriesAmplitude]) -> list:
+    """The field at time t by series: [(series, windows, emitter)], with
+    windows [(branch, hi, lag, factor)] and branch 0 (right) or 1 (left).
 
-    Everything is in s = -x for right-movers and s = x for left-movers; a
-    branch's field at s is the sum of factor * series(s + lag) over its
-    windows s <= hi, with half weight at s = hi. Qubit q's emission
-    -i sqrt(J0) e_q(t - |x - x_q|) is e_q with lag t -+ x_q on the window
-    s <= -+x_q. An incident pulse is its series at the entry qubit,
-    continued over the whole line (hi = inf). A term of `series` with
-    delay d therefore has its front at s = d - lag.
+    Everything is in s = -x on the right-moving branch and s = x on the
+    left-moving one; a branch's field at s is the sum of
+    factor * series(s + lag) over its windows s <= hi, with half weight at
+    s = hi. Qubit q (an emitter) has a window on each branch: its emission
+    -i sqrt(J0) e_q(t - |x - x_q|) is e_q with lag t -+ x_q on s <= -+x_q.
+    An incident pulse is its series at the entry qubit, continued over the
+    whole line of its own branch (hi = inf). A term of `series` with delay
+    d therefore has its front at s = d - lag.
     """
     pref = -1j * math.sqrt(cfg.j0)
-    out: dict[str, list] = {"right": [], "left": []}
-    for branch, sign in (("right", -1.0), ("left", 1.0)):     # s = sign * x
-        for q, amp in amps.items():
-            if amp.terms:
-                s_q = sign * cfg.positions[q]
-                out[branch].append((s_q, t - s_q, pref, amp))
-
+    out = []
+    for q, amp in amps.items():
+        if amp.terms:
+            x_q = cfg.positions[q]
+            out.append((amp, ((0, -x_q, t + x_q, pref),
+                              (1, x_q, t - x_q, pref)), True))
     if init.kind == "pulse":
         spec = init.pulse
         entry = cfg.positions[spec.entry(cfg.num_qubits)]
@@ -170,48 +172,78 @@ def _segments(cfg: ChainConfig, init: InitialCondition, t: float,
         # pulse's own branch has s = -sign * x
         p = pulse_prefactor(spec, cfg.omega, entry)
         term = DelayedTerm(spec.x0, -1j * spec.sigma, (-1j * p,), cfg.omega)
-        out[spec.direction].append((math.inf, t + spec.sign * entry,
-                                    1.0, TimeSeriesAmplitude((term,))))
+        branch = 0 if spec.direction == "right" else 1
+        out.append((TimeSeriesAmplitude((term,)),
+                    ((branch, math.inf, t + spec.sign * entry, 1.0),), False))
     return out
 
 
-def _branch_field(segments, s: np.ndarray, t: float | None = None):
-    """One branch's field at the coordinates s, window edges weighing 1/2,
-    and the qubit populations sum_q |e_q(t)|^2 (0 without a time t).
+def _read(sources, s, t: float | None = None):
+    """The field of each branch b at its ascending coordinates s[b], window
+    edges weighing 1/2, and the qubit populations sum_q |e_q(t)|^2 (0
+    without a time t).
 
-    A finite window's series is read at s + lag, and its edge s = hi is the
-    time hi + lag = t; with t given, t is appended to that same evaluation,
-    so the populations cost no kernel call of their own.
+    Each series is read once: one evaluation at every retarded time of
+    its windows, each window a prefix s[b][:k] of its branch, and, with t
+    given, at t itself for an emitter.
     """
-    out = np.zeros(s.shape, dtype=complex)
+    fields = [np.zeros(len(sb), dtype=complex) for sb in s]
     population = 0.0
-    for hi, lag, factor, series in segments:
-        inside = s <= hi
-        read = t is not None and hi < math.inf
-        if inside.any() or read:
-            si = s[inside]
-            times = si + lag
-            values = series(np.append(times, t) if read else times)
-            if read:
-                population += abs(values[-1]) ** 2
-                values = values[:-1]
-            out[inside] += factor * np.where(si == hi, 0.5, 1.0) * values
-    return out, population
+    for series, windows, emitter in sources:
+        read = t is not None and emitter
+        spans, times = [], []
+        for b, hi, lag, _ in windows:
+            k = s[b].searchsorted(hi, "right") if hi < math.inf else len(s[b])
+            spans.append(k)
+            times.append(s[b][:k] + lag)
+        if read:
+            times.append([t])
+        if not sum(map(len, times)):
+            continue
+        values = series(np.concatenate(times))
+        start = 0
+        for (b, hi, _, factor), k in zip(windows, spans):
+            part = factor * values[start:start + k]
+            if k and s[b][k - 1] == hi:
+                part[s[b].searchsorted(hi, "left"):] *= 0.5     # s == hi
+            fields[b][:k] += part
+            start += k
+        if read:
+            population += abs(values[-1]) ** 2
+    return fields, population
 
 
 def field_profile(cfg: ChainConfig, init: InitialCondition, t: float,
                   xs) -> FieldProfile:
-    """Right/left-moving field components at time t on the given positions."""
+    """Right/left-moving field components at time t on the given positions;
+    a NaN position gives NaN on both branches."""
+    _check_time(np.float64(t))
     return _field_from(cfg, init, t, xs, all_amplitudes(cfg, init, t))
+
+
+def _check_time(ts: np.ndarray) -> None:
+    """Raise ValueError unless every time in ts is finite and >= 0."""
+    if not ((ts >= 0) & (ts < math.inf)).all():
+        raise ValueError("t must be finite and non-negative")
 
 
 def _field_from(cfg: ChainConfig, init: InitialCondition, t: float, xs,
                 amps: dict[int, TimeSeriesAmplitude]) -> FieldProfile:
     """field_profile from every qubit's amplitude, exact through time t."""
     xs = np.array(xs, dtype=float)
-    segments = _segments(cfg, init, t, amps)
-    return FieldProfile(t, xs, _branch_field(segments["right"], -xs)[0],
-                        _branch_field(segments["left"], xs)[0])
+    x = xs.ravel()
+    order = None
+    if not (x[1:] >= x[:-1]).all():
+        order = np.argsort(x, kind="stable")        # NaNs last
+        x = x[order]
+    x = x[:x.searchsorted(np.nan)]
+    (right, left), _ = _read(_sources(cfg, init, t, amps), (-x[::-1], x))
+    psi = np.full((2, xs.size), complex(np.nan, np.nan))
+    psi[0, :x.size], psi[1, :x.size] = right[::-1], left
+    if order is not None:
+        psi[:, order] = psi.copy()                  # undo the sort
+    psi = psi.reshape((2,) + xs.shape)
+    return FieldProfile(t, xs, psi[0], psi[1])
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +280,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2 / ((1 - x * x) * dp * dp)
 
 
-def _branch_norm(segments, t: float | None = None) -> tuple[float, float]:
-    """Int |psi(s)|^2 ds for one branch, by quadrature of `_branch_field`,
-    and the qubit populations at time t that the same evaluation reads
-    (0 without t).
+def _branch_nodes(sources, branch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes s and weights w with sum w |psi(s)|^2 = Int |psi|^2 ds
+    over one branch of the field of `sources`, to within the bound below.
 
     Between consecutive cuts (fronts and window edges) the field is smooth:
     a sum of terms psi_i = P_i(s - a_i) exp(-i(p_i + W)(s - a_i)) with
@@ -273,39 +304,41 @@ def _branch_norm(segments, t: float | None = None) -> tuple[float, float]:
     Only the undisturbed incident pulse reaches past the last cut c: it is
     one term with a constant polynomial and the pole -i sigma, so there
     |psi(c + u)|^2 = |psi(c)|^2 exp(-mu u), mu = 2 sigma, which the
-    one-point Gauss-Laguerre rule scaled by mu (node u = 1/mu, weight
-    e/mu) integrates exactly.
+    one-point Gauss-Laguerre rule scaled by mu, one more node at
+    c + 1/mu with weight e/mu, integrates exactly.
+
+    The pieces tile the cuts' span and every Gauss node is inside its
+    piece, so the nodes ascend, as `_read` needs: a piece split from a
+    longer interval is at least 1/(2 kappa) long, and a single piece's
+    nodes are its left cut plus rounded fractions of its length.
     """
-    terms = [tm for _, _, _, series in segments for tm in series.terms]
+    segments = [(hi, lag, series) for series, windows, _ in sources
+                for b, hi, lag, _ in windows if b == branch]
+    terms = [tm for _, _, series in segments for tm in series.terms]
     if not terms:
-        return 0.0, 0.0
-    cuts = sorted({tm.delay - lag for _, lag, _, series in segments
+        return np.zeros(0), np.zeros(0)
+    cuts = sorted({tm.delay - lag for _, lag, series in segments
                    for tm in series.terms}
-                  | {hi for hi, _, _, _ in segments if math.isfinite(hi)})
+                  | {hi for hi, _, _ in segments if math.isfinite(hi)})
     kappa = max(abs(tm.pole) for tm in terms)
     x, w = _gauss_legendre(max(len(tm.poly_coeffs) for tm in terms) + 8)
-    length = np.diff(cuts)
-    pieces = np.maximum(np.ceil(length * kappa), 1).astype(int)
-    h = np.repeat(length / pieces, pieces)
-    # piece k of an interval starts at its left cut + k h
-    k = np.arange(len(h)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    start = np.repeat(cuts[:-1], pieces) + k * h
+    # piece k of the interval [a, b] starts at a + k step
+    start, h = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        pieces = max(math.ceil((b - a) * kappa), 1)
+        step = (b - a) / pieces
+        start += [a + k * step for k in range(pieces)]
+        h += [step] * pieces
+    start, h = np.array(start), np.array(h)
     s = (start[:, None] + h[:, None] * (x + 1) / 2).ravel()
     weight = (h[:, None] / 2 * w).ravel()
-    # a plain sum, not np.dot: BLAS's first call adds 0.15 MB of resident
-    # memory, and nothing else on the norm path uses it
-    psi, population = _branch_field(segments, s, t)
-    total = float((weight * np.abs(psi) ** 2).sum())
-
-    tail = [tm for hi, _, _, series in segments if hi == math.inf
+    tail = [tm.pole for hi, _, series in segments if hi == math.inf
             for tm in series.terms]
     if tail:
-        (pulse,) = tail
-        assert len(pulse.poly_coeffs) == 1
-        mu = -2 * pulse.pole.imag
-        psi, _ = _branch_field(segments, np.array([cuts[-1] + 1 / mu]))
-        total += math.e * float(np.abs(psi[0]) ** 2) / mu
-    return total, population
+        mu = -2 * tail[0].imag
+        s = np.append(s, cuts[-1] + 1 / mu)
+        weight = np.append(weight, math.e / mu)
+    return s, weight
 
 
 def total_norm(cfg: ChainConfig, init: InitialCondition, t):
@@ -316,8 +349,7 @@ def total_norm(cfg: ChainConfig, init: InitialCondition, t):
     switched on by it.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
-        raise ValueError("t must be non-negative")
+    _check_time(ts)
     amps = all_amplitudes(cfg, init, float(ts.max(initial=0.0)))
     norms = np.array([_norm_at(cfg, init, float(ti), amps)
                       for ti in ts.ravel()])
@@ -326,19 +358,21 @@ def total_norm(cfg: ChainConfig, init: InitialCondition, t):
 
 def _norm_at(cfg: ChainConfig, init: InitialCondition, t: float,
              amps: dict[int, TimeSeriesAmplitude]) -> float:
-    """The norm at time t from amplitudes exact up to a horizon >= t."""
+    """The norm at time t from amplitudes exact up to a horizon >= t: the
+    populations and both branches' quadrature nodes in one read."""
     horizon = _through(t)
     amps = {q: amp.before(horizon) for q, amp in amps.items()}
-    segments = _segments(cfg, init, t, amps)
+    sources = _sources(cfg, init, t, amps)
+    nodes = [_branch_nodes(sources, b) for b in (0, 1)]
+    # at t = 0 the populations are the t -> 0+ limit: the excited qubit's
+    # own term would take Theta(0) = 1/2, while the field is still empty
+    psi, population = _read(sources, [s for s, _ in nodes], t or None)
     if t == 0:
-        # the t -> 0+ limit: at t = 0 the excited qubit's own term would
-        # take Theta(0) = 1/2, while the field is still empty
-        right, _ = _branch_norm(segments["right"])
-        qubit_part = float(init.kind == "excited_qubit")
-    else:
-        right, qubit_part = _branch_norm(segments["right"], t)
-    left, _ = _branch_norm(segments["left"])
-    return float(qubit_part + right + left)
+        population = float(init.kind == "excited_qubit")
+    # a plain sum, not np.dot: BLAS's first call adds 0.15 MB of resident
+    # memory, and nothing else on the norm path uses it
+    return float(population + sum(float((w * np.abs(p) ** 2).sum())
+                                  for (_, w), p in zip(nodes, psi)))
 
 
 def causality_probe(cfg: ChainConfig, init: InitialCondition,

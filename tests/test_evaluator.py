@@ -388,16 +388,39 @@ def test_runtime_needs_no_partial_fractions(monkeypatch, init):
     assert total_norm(cfg3, init, 6.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def _reference_field(sources, s):
+    """Field of each branch at the coordinates s[b], read one window at a
+    time: the per-segment loop that `evaluator._read` replaced."""
+    out = []
+    for b, sb in enumerate(s):
+        field = np.zeros(sb.shape, dtype=complex)
+        for series, windows, _ in sources:
+            for _, hi, lag, factor in (w for w in windows if w[0] == b):
+                inside = sb <= hi
+                if inside.any():
+                    si = sb[inside]
+                    field[inside] += (factor * np.where(si == hi, 0.5, 1.0)
+                                      * series(si + lag))
+        out.append(field)
+    return out
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("init", [
     InitialCondition.excited(1),
     InitialCondition.incident(PulseSpec(0.7, 0.5, "left"))])
 def test_norm_reads_populations_with_the_field(monkeypatch, n, init):
-    """A scalar norm reads every e_q(t) in the kernel call that evaluates
-    q's emission, so its only one-point kernel call is the pulse tail; it
-    equals the populations read one by one plus the branch norms."""
+    """A scalar norm, and a field profile, read each non-empty series in
+    one kernel call: the populations, both branches' quadrature nodes and
+    the pulse tail's node come from that call. The norm equals the
+    populations read one by one plus each branch's quadrature, on the same
+    nodes, of the field read one window at a time."""
     cfg_n = ChainConfig(n, OMEGA, J0, 1.0)
     t = 3.7
+    amps = evaluator.all_amplitudes(cfg_n, init, t)
+    series = sum(bool(amp.terms) for amp in amps.values()) \
+        + (init.kind == "pulse")
+    assert series == n + (init.kind == "pulse")
     points = []
     kernel = _kernels.eval_terms_grid
 
@@ -407,13 +430,86 @@ def test_norm_reads_populations_with_the_field(monkeypatch, n, init):
 
     monkeypatch.setattr(_kernels, "eval_terms_grid", counted)
     got = total_norm(cfg_n, init, t)
-    assert points.count(1) == (init.kind == "pulse")
-    amps = evaluator.all_amplitudes(cfg_n, init, t)
-    segments = evaluator._segments(cfg_n, init, t, amps)
+    assert len(points) == series and 1 not in points
+    sources = evaluator._sources(cfg_n, init, t, amps)
+    nodes = [evaluator._branch_nodes(sources, b) for b in (0, 1)]
+    fields = _reference_field(sources, [s for s, _ in nodes])
     want = (sum(abs(amp(t)) ** 2 for amp in amps.values())
-            + evaluator._branch_norm(segments["right"])[0]
-            + evaluator._branch_norm(segments["left"])[0])
+            + sum(float(np.sum(w * np.abs(f) ** 2))
+                  for (_, w), f in zip(nodes, fields)))
     assert got == pytest.approx(want, rel=0, abs=1e-14)
+    del points[:]
+    field_profile(cfg_n, init, t, np.linspace(-5.0, n + 5.0, 101))
+    assert len(points) == series
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("init", [
+    InitialCondition.excited(0),
+    InitialCondition.incident(PulseSpec(0.6, 1.0, "right")),
+    InitialCondition.incident(PulseSpec(1.7, 0.5, "left"))],
+    ids=["excited", "pulse-right", "pulse-left"])
+def test_field_matches_the_per_window_reading(n, init):
+    """field_profile equals the field read one window at a time, to the
+    series' rounding bounds, on positions that hold every window edge
+    (the qubits, weighing 1/2) and every front, laid out ascending,
+    descending, as 0-d arrays and as a shuffled 2-D array."""
+    cfg_n = ChainConfig(n, OMEGA, J0, 1.0)
+    rng = np.random.default_rng(n)
+    for t in (0.5, 2.25, 7.0):
+        amps = evaluator.all_amplitudes(cfg_n, init, t)
+        sources = evaluator._sources(cfg_n, init, t, amps)
+        fronts = [(-1.0, 1.0)[b] * (tm.delay - lag)
+                  for series, windows, _ in sources
+                  for b, _, lag, _ in windows for tm in series.terms]
+        xs = np.unique(np.concatenate([
+            cfg_n.positions, fronts, np.linspace(-t - 1.0, n + t, 60)]))
+        right, left = _reference_field(sources, (-xs, xs))
+        tol = sum(rounding_bound(amp, evaluator._through(t))
+                  for amp in amps.values()) + 8 * np.finfo(float).eps
+        perm = rng.permutation(xs.size)
+        layouts = [(xs, slice(None)), (xs[::-1], slice(None, None, -1)),
+                   (np.stack([xs[perm], xs[perm[::-1]]]),
+                    np.concatenate([perm, perm[::-1]]))]
+        for x, order in layouts:
+            got = field_profile(cfg_n, init, t, x)
+            assert got.psi_right.shape == x.shape
+            np.testing.assert_allclose(got.psi_right.ravel(), right[order],
+                                       rtol=0, atol=tol)
+            np.testing.assert_allclose(got.psi_left.ravel(), left[order],
+                                       rtol=0, atol=tol)
+        for i in range(0, xs.size, 7):
+            got = field_profile(cfg_n, init, t, np.array(xs[i]))
+            assert got.psi_right.shape == ()
+            (want_r,), (want_l,) = _reference_field(sources,
+                                                    (-xs[i:i + 1], xs[i:i + 1]))
+            assert abs(got.psi_right - want_r) <= tol
+            assert abs(got.psi_left - want_l) <= tol
+
+
+def test_nan_position_gives_nan():
+    cfg3 = ChainConfig(3, OMEGA, J0, 1.0)
+    for init in (InitialCondition.excited(1),
+                 InitialCondition.incident(PulseSpec(0.7, 0.5, "right"))):
+        prof = field_profile(cfg3, init, 2.0, [np.nan])
+        assert np.isnan(prof.psi_right).all() and np.isnan(prof.psi_left).all()
+        xs = [0.5, np.nan, -0.25, 1.0, np.nan]
+        prof = field_profile(cfg3, init, 2.0, xs)
+        ref = field_profile(cfg3, init, 2.0, [0.5, -0.25, 1.0])
+        for got, want in ((prof.psi_right, ref.psi_right),
+                          (prof.psi_left, ref.psi_left)):
+            assert np.isnan(got[[1, 4]]).all()
+            np.testing.assert_array_equal(got[[0, 2, 3]], want)
+
+
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+def test_bad_time_is_an_error_that_names_t(cfg, excited, t):
+    with pytest.raises(ValueError, match="^t must"):
+        field_profile(cfg, excited, t, [0.0])
+    with pytest.raises(ValueError, match="^t must"):
+        total_norm(cfg, excited, t)
+    with pytest.raises(ValueError, match="^t must"):
+        total_norm(cfg, excited, [1.0, t])
 
 
 def test_norm_at_many_times_from_one_class_pass(monkeypatch):
