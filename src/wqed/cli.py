@@ -253,12 +253,13 @@ def cmd_fermi_demo(args) -> int:
               ["t", "e1.re", "e1.im", "e1.abs2", "markov.abs2"],
               [ts, e1.real, e1.imag, np.abs(e1) ** 2, np.abs(mk) ** 2])
     xs = np.linspace(-L / 2, L / 2, 401)
-    for t_snap in (0.5 * L, 1.5 * L, 2.5 * L):
-        # the internal field only: the rest of fermi_full_state goes unused
-        psi_ri, psi_li = fermi._internal_field(t_snap, xs, j0, omega, L)
+    snaps = np.array([0.5, 1.5, 2.5]) * L
+    # the internal field only: the rest of fermi_full_state goes unused
+    psi_ri, psi_li = fermi._internal_field(snaps[:, None], xs, j0, omega, L)
+    for t_snap, ri, li in zip(snaps, psi_ri, psi_li):
         write_csv(str(outdir / f"field_L{args.L}_t{t_snap:g}.csv"),
                   ["x", "psi_Ri.re", "psi_Ri.im", "psi_Li.re", "psi_Li.im"],
-                  [xs, psi_ri.real, psi_ri.imag, psi_li.real, psi_li.imag])
+                  [xs, ri.real, ri.imag, li.real, li.imag])
     return 0
 
 

@@ -10,13 +10,21 @@ carries a Heaviside front; truncation is exact.
     e_{-1}(t) =  sum_n (s_n J0)^(2n)/(2n)!   exp(-(J0+i*W)s_n) Theta(s_n),
         s_n = t - 2nL
 
-plus six field components (internal/external, right/left-moving) with their
+plus four field components (internal/external, right/left-moving) with their
 own front times. These expressions are used as golden references against
 the diagram engine, never derived from it.
+
+Each term is evaluated only on its support tau >= 0, point by point, so a
+term that has not switched on costs nothing and a value depends on its own
+point alone. The power ratio (J0 tau)^p / p! is taken in log space only
+for p >= 150 and where the direct power overflows. A NaN time or position,
+and t = +inf (no finite sum of terms is exact there), give NaN; an empty
+input gives an empty result.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,80 +36,96 @@ __all__ = ["CollectiveRates", "collective_rates", "fermi_e1", "fermi_e1_terms",
            "fermi_em1_terms", "fermi_em1", "fermi_full_state", "markovian_e1"]
 
 
-def _theta(x):
-    return np.where(x > 0, 1.0, np.where(x == 0, THETA_AT_ZERO, 0.0))
-
-
-_LOG_FLOAT_MAX = 709.0   # just below log(largest float64)
-
-
 def _power_ratio(x, power):
-    """x^power / power!, evaluated directly while that cannot overflow.
+    """x^power / power! for x >= 0, each element on its own.
 
-    Otherwise it goes to log space, which gives 0 for x <= 0 (every caller
-    multiplies by Theta): for large powers (the deep Markovian regime has
-    hundreds of active round trips and the bare factorial overflows) and
-    for large |x| at long times, including the x < 0 side of a term that
-    has not switched on yet. The callers' exponential decay is evaluated
-    at max(tau, 0) for the same reason (see `_decay`).
+    Directly, except in log space for power >= 150 (the bare factorial
+    overflows at 171; the deep Markovian regime has hundreds of active
+    round trips) and where x^power overflows (large J0 tau at long times).
     """
-    x = np.asarray(x, dtype=float)
-    top = float(np.max(np.abs(x), initial=1.0))
-    if power < 150 and power * math.log(top) < _LOG_FLOAT_MAX:
-        return x ** power / math.factorial(power)
-    safe = np.where(x > 0, x, 1.0)
-    return np.where(x > 0, np.exp(power * np.log(safe) - math.lgamma(power + 1)),
-                    0.0)
+    if power < 150:
+        with np.errstate(over="ignore"):
+            out = x ** power / math.factorial(power)
+        far = np.isinf(out)
+    else:
+        out, far = np.zeros_like(x), x > 0    # log(0) never taken
+    out[far] = np.exp(power * np.log(x[far]) - math.lgamma(power + 1))
+    return out
 
 
-def _decay(tau, j0, omega):
-    """exp(-(J0+iW)tau) * Theta(tau).
+def _terms(t, s, first, L, j0, omega, mag):
+    """The terms of a series, each on its support only.
 
-    The exponential is taken at max(tau, 0): for a term that has not
-    switched on yet it would be exp(J0|tau|), which overflows past
-    J0|tau| = 709 and turns inf * Theta = inf * 0 into NaN.
+    Term p = first, first + 2, ... is mag(J0 tau, p) exp(-(J0+iW)tau)
+    Theta(tau) with tau = t - pL + s. Yields (i, value): the flat indices
+    of the broadcast (t, s) where 0 <= tau < inf, and the term there. A
+    term's support lies inside the previous one's, so each term looks only
+    at those points, and the series stops at the first term that has not
+    switched on anywhere.
     """
-    on = np.where(tau > 0, tau, 0.0)
-    return np.exp(-(j0 + 1j * omega) * on) * _theta(tau)
+    t, s = (a.ravel() for a in np.broadcast_arrays(t, s))
+    i = np.arange(t.size)
+    for p in itertools.count(first, 2):
+        tau = t[i] - p * L + s[i]
+        on = (tau >= 0) & (tau < np.inf)
+        i, tau = i[on], tau[on]
+        if not i.size:
+            return
+        decay = (np.exp(-(j0 + 1j * omega) * tau)
+                 * np.where(tau > 0, 1.0, THETA_AT_ZERO))
+        yield i, mag(j0 * tau, p) * decay
 
 
-def _term(tau, j0, omega, power, sign):
-    """sign * (tau*J0)^power / power! * exp(-(J0+iW)tau) * Theta(tau)."""
-    tau = np.asarray(tau, dtype=float)
-    mag = _power_ratio(tau * j0, power)
-    return sign * mag * _decay(tau, j0, omega)
+def _series(t, s, first, L, j0, omega, mag):
+    """Sum of `_terms` in the broadcast shape of t and s; NaN at a NaN or
+    +inf t and at a NaN s."""
+    out = np.where(~(t < np.inf) | np.isnan(s), complex(np.nan, np.nan), 0j)
+    for i, v in _terms(t, s, first, L, j0, omega, mag):
+        out.reshape(-1)[i] += v
+    return out
+
+
+def _split(t, first, L, j0, omega, mag):
+    """`_terms` of a qubit series, each in the shape of t, 0 off its support."""
+    t = np.asarray(t, dtype=float)
+    out = []
+    for i, v in _terms(t, 0.0, first, L, j0, omega, mag):
+        out.append(np.zeros(t.shape, dtype=complex))
+        out[-1].reshape(-1)[i] = v
+    return out
+
+
+def _e1_mag(x, p):
+    """-x^p / p!, the magnitude of a term of e_{+1}."""
+    return -_power_ratio(x, p)
+
+
+def _external_mag(x, p):
+    """(x^p - p x^(p-1)) / p!, the external field's magnitude; 1 at p = 0."""
+    return _power_ratio(x, p) - _power_ratio(x, p - 1) if p else 1.0
 
 
 def fermi_e1_terms(t, j0, omega, L):
-    """List of the active n-indexed terms of e_{+1} at time(s) t."""
-    tmax = float(np.max(np.atleast_1d(t)))
-    nmax = max(0, math.ceil((tmax / L - 1) / 2)) if tmax > L else 0
-    out = []
-    for n in range(nmax + 1):
-        tau = np.asarray(t, dtype=float) - (2 * n + 1) * L
-        out.append(_term(tau, j0, omega, 2 * n + 1, -1.0))
-    return out
+    """The terms of e_{+1} that have switched on somewhere in t."""
+    return _split(t, 1, L, j0, omega, _e1_mag)
+
 
 def fermi_e1(t, j0, omega, L):
     """Excitation amplitude of the initially unexcited qubit (+1)."""
-    terms = fermi_e1_terms(t, j0, omega, L)
-    total = sum(terms)
-    return total if np.ndim(t) else complex(total)
+    total = _series(np.asarray(t, dtype=float), 0.0, 1, L, j0, omega, _e1_mag)
+    return total if total.ndim else complex(total)
 
 
 def fermi_em1_terms(t, j0, omega, L):
-    tmax = float(np.max(np.atleast_1d(t)))
-    nmax = max(0, math.floor(tmax / (2 * L)))
-    out = []
-    for n in range(nmax + 1):
-        s = np.asarray(t, dtype=float) - 2 * n * L
-        out.append(_term(s, j0, omega, 2 * n, 1.0))
-    return out
+    """The terms of e_{-1} that have switched on somewhere in t."""
+    return _split(t, 0, L, j0, omega, _power_ratio)
+
 
 def fermi_em1(t, j0, omega, L):
     """Excitation amplitude of the initially excited qubit (-1)."""
-    total = sum(fermi_em1_terms(t, j0, omega, L))
-    return total if np.ndim(t) else complex(total)
+    total = _series(np.asarray(t, dtype=float), 0.0, 0, L, j0, omega,
+                    _power_ratio)
+    return total if total.ndim else complex(total)
 
 
 def fermi_full_state(t, x, j0, omega, L):
@@ -118,31 +142,14 @@ def fermi_full_state(t, x, j0, omega, L):
     rt = math.sqrt(j0)
 
     psi_ri, psi_li = _internal_field(t, x, j0, omega, L)
-    right_out = _window(x, half, np.inf)
-    left_out = _window(x, -np.inf, -half)
-    nmax, shape = _round_trips(t, L), np.broadcast(t, x).shape
-
-    # external right-mover past +L/2: transmitted through qubit +1
-    acc = np.zeros(shape, dtype=complex)
-    for n in range(nmax + 1):
-        tau = t - (2 * n + 1) * L - (x - half)
-        # (J0 tau)^(2n) (J0 tau - (2n+1)) / (2n+1)!
-        g = (_power_ratio(j0 * tau, 2 * n + 1)
-             - _power_ratio(j0 * tau, 2 * n))
-        acc = acc + g * _decay(tau, j0, omega)
-    psi_re = 1j * rt * right_out * acc
-
-    # external left-mover past -L/2: direct decay plus returned bounces
-    acc = np.zeros(shape, dtype=complex)
-    for n in range(nmax + 1):
-        tau = t - 2 * n * L + (x + half)
-        if n == 0:
-            g = np.ones(shape)
-        else:   # ((J0 tau)^(2n) - 2n (J0 tau)^(2n-1)) / (2n)!
-            g = (_power_ratio(j0 * tau, 2 * n)
-                 - _power_ratio(j0 * tau, 2 * n - 1))
-        acc = acc + g * _decay(tau, j0, omega)
-    psi_le = -1j * rt * left_out * acc
+    # external right-mover past +L/2, transmitted through qubit +1:
+    # tau = t - (2n+1)L - (x - L/2)
+    psi_re = (1j * rt * _window(x, half, np.inf)
+              * _series(t, half - x, 1, L, j0, omega, _external_mag))
+    # external left-mover past -L/2, direct decay plus returned bounces:
+    # tau = t - 2nL + (x + L/2)
+    psi_le = (-1j * rt * _window(x, -np.inf, -half)
+              * _series(t, x + half, 0, L, j0, omega, _external_mag))
 
     return {
         "e_m1": fermi_em1(t, j0, omega, L) * np.ones_like(x),
@@ -154,11 +161,6 @@ def fermi_full_state(t, x, j0, omega, L):
     }
 
 
-def _round_trips(t, L) -> int:
-    """Round trips summed by the field series up to the largest time in t."""
-    return max(1, math.ceil(float(np.max(t)) / (2 * L)) + 1)
-
-
 def _internal_field(t, x, j0, omega, L):
     """(psi_Ri, psi_Li): the field between the qubits, window included, as
     in `fermi_full_state`."""
@@ -167,21 +169,13 @@ def _internal_field(t, x, j0, omega, L):
     half = L / 2.0
     rt = math.sqrt(j0)
     inside = _window(x, -half, half)
-    nmax, shape = _round_trips(t, L), np.broadcast(t, x).shape
-
-    # internal right-mover: n full round trips, then -L/2 -> x
-    acc = np.zeros(shape, dtype=complex)
-    for n in range(nmax + 1):
-        tau = t - 2 * n * L - (x + half)
-        acc = acc + _power_ratio(j0 * tau, 2 * n) * _decay(tau, j0, omega)
-    psi_ri = -1j * rt * inside * acc
-
-    # internal left-mover: odd number of crossings, reflected at +L/2
-    acc = np.zeros(shape, dtype=complex)
-    for n in range(nmax + 1):
-        tau = t - (2 * n + 1) * L + (x - half)
-        acc = acc + _power_ratio(j0 * tau, 2 * n + 1) * _decay(tau, j0, omega)
-    psi_li = 1j * rt * inside * acc
+    # right-mover: n full round trips, then -L/2 -> x: tau = t - 2nL - (x + L/2)
+    psi_ri = (-1j * rt * inside
+              * _series(t, -(x + half), 0, L, j0, omega, _power_ratio))
+    # left-mover: odd number of crossings, reflected at +L/2:
+    # tau = t - (2n+1)L + (x - L/2)
+    psi_li = (1j * rt * inside
+              * _series(t, x - half, 1, L, j0, omega, _power_ratio))
     return psi_ri, psi_li
 
 

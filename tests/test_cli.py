@@ -560,6 +560,21 @@ def test_fermi_demo_snapshots_are_the_full_state_fields(tmp_path, L):
         assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("L", ["5", "2", "0.3"])
+def test_fermi_demo_e1_is_the_series(tmp_path, L):
+    out = tmp_path / "demo"
+    assert cli.main(["fermi-demo", "--L", L, "--omega", "37.5",
+                     "--out", str(out)]) == 0
+    sep = float(L)
+    ts = np.linspace(0.0, 8 * sep, 2001, endpoint=False)
+    e1 = fermi.fermi_e1(ts, 1.0, 37.5, sep)
+    mk = fermi.markovian_e1(ts, 2.0, 37.5 * sep, 37.5)
+    want = tmp_path / "want.csv"
+    cli.write_csv(str(want), ["t", "e1.re", "e1.im", "e1.abs2", "markov.abs2"],
+                  [ts, e1.real, e1.imag, np.abs(e1) ** 2, np.abs(mk) ** 2])
+    assert (out / f"e1_L{L}.csv").read_bytes() == want.read_bytes()
+
+
 def test_fermi_demo_bad_separation_exits_2(tmp_path):
     rc = cli.main(["fermi-demo", "--L", "1.7", "--out", str(tmp_path / "d")])
     assert rc == 2

@@ -146,3 +146,115 @@ def test_jump_at_left_qubit():
             - (below["psi_Ri"][0] + below["psi_Re"][0]))
     em1 = fermi.fermi_em1(t, j0, om, L)
     assert jump == pytest.approx(-1j * np.sqrt(j0) * em1, abs=1e-7)
+
+
+NAN = complex(np.nan, np.nan)
+
+
+@pytest.mark.parametrize("series", [fermi.fermi_e1, fermi.fermi_em1])
+def test_nan_time_gives_nan(series):
+    ts = np.array([1.0, np.nan, 3.0])
+    got = series(ts, 1.0, 10.0, 1.0)
+    assert np.isnan(got[1].real) and np.isnan(got[1].imag)
+    # the term count comes from the finite times: the others are unchanged
+    for k in (0, 2):
+        assert got[k] == series(ts[k], 1.0, 10.0, 1.0)
+    assert np.isnan(series(np.nan, 1.0, 10.0, 1.0))
+    assert np.isnan(series(np.inf, 1.0, 10.0, 1.0))
+
+
+@pytest.mark.parametrize("series", [fermi.fermi_e1, fermi.fermi_em1])
+def test_empty_time_gives_empty(series):
+    got = series(np.array([]), 1.0, 10.0, 1.0)
+    assert got.shape == (0,) and got.dtype == complex
+
+
+def test_full_state_nan_time_gives_nan():
+    st = fermi.fermi_full_state(np.nan, np.array([-2.0, 0.1, 2.0]),
+                                1.0, 10.0, 1.0)
+    for key, val in st.items():
+        assert np.all(np.isnan(val)), key
+
+
+def test_full_state_nan_position_gives_nan():
+    xs = np.array([-2.0, np.nan, 0.1, 2.0])
+    st = fermi.fermi_full_state(2.7, xs, 1.0, 10.0, 1.0)
+    each = [fermi.fermi_full_state(2.7, xs[k:k + 1], 1.0, 10.0, 1.0)
+            for k in (0, 2, 3)]
+    for key in ("psi_Ri", "psi_Re", "psi_Li", "psi_Le"):
+        assert np.isnan(st[key][1]), key
+        np.testing.assert_array_equal(st[key][[0, 2, 3]],
+                                      [e[key][0] for e in each])
+
+
+def test_full_state_empty_position_gives_empty():
+    st = fermi.fermi_full_state(2.7, np.array([]), 1.0, 10.0, 1.0)
+    for key, val in st.items():
+        assert val.shape == (0,), key
+
+
+def _pointwise(series, ts, *args):
+    return np.array([series(t, *args) for t in ts.ravel()]).reshape(ts.shape)
+
+
+@pytest.mark.parametrize("series", [fermi.fermi_e1, fermi.fermi_em1])
+def test_value_depends_only_on_its_own_point(series):
+    """The direct or log-space form of (J0 tau)^p / p! is picked element by
+    element, so a grid gives the same bits as its points one at a time."""
+    ts = np.linspace(0.0, 150.0, 400)
+    args = (5.0, 200.0, 1.0)
+    np.testing.assert_array_equal(series(ts, *args), _pointwise(series, ts, *args))
+    rng = np.random.default_rng(3)
+    shuffled = rng.permutation(ts)
+    np.testing.assert_array_equal(series(shuffled, *args),
+                                  _pointwise(series, shuffled, *args))
+    grid = shuffled.reshape(20, 20)
+    np.testing.assert_array_equal(series(grid, *args),
+                                  _pointwise(series, grid, *args))
+
+
+def test_deep_markovian_value_depends_only_on_its_own_point():
+    # 1,250 terms at t = 2.5, all past the power where log space takes over
+    ts = np.array([2.5, 0.3, 1.7, 2.4999, 1.0])
+    args = (1.0, np.pi / 2e-3, 1e-3)
+    np.testing.assert_array_equal(fermi.fermi_e1(ts, *args),
+                                  _pointwise(fermi.fermi_e1, ts, *args))
+
+
+def test_full_state_value_depends_only_on_its_own_point():
+    xs = np.random.default_rng(5).permutation(np.linspace(-3.0, 3.0, 61))
+    ts = np.array([[0.4], [2.6], [9.1]])
+    st = fermi.fermi_full_state(ts, xs, 1.0, 10.0, 1.0)
+    for r, t in enumerate(ts[:, 0]):
+        for k, x in enumerate(xs):
+            one = fermi.fermi_full_state(t, x, 1.0, 10.0, 1.0)
+            for key, val in one.items():
+                assert st[key][r, k] == val, (key, t, x)
+
+
+@pytest.fixture
+def term_points(monkeypatch):
+    """Sizes of the arrays the power ratio is evaluated on, call by call;
+    each must hold J0 tau >= 0 only."""
+    sizes, power_ratio = [], fermi._power_ratio
+
+    def counted(x, power):
+        assert np.all(x >= 0)
+        sizes.append(x.size)
+        return power_ratio(x, power)
+
+    monkeypatch.setattr(fermi, "_power_ratio", counted)
+    return sizes
+
+
+def test_terms_are_evaluated_on_their_support_only(term_points):
+    """fermi-demo at L = 2: the e1 grid and the three internal snapshots."""
+    L = 2.0
+    ts = np.linspace(0.0, 8 * L, 2001, endpoint=False)
+    fermi.fermi_e1(ts, 1.0, 10.0, L)
+    assert term_points == [1750, 1250, 750, 250]
+    term_points.clear()
+    xs = np.linspace(-L / 2, L / 2, 401)
+    for t in (0.5 * L, 1.5 * L, 2.5 * L):
+        fermi._internal_field(t, xs, 1.0, 10.0, L)
+    assert sum(term_points) == 1806
