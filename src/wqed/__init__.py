@@ -1,8 +1,11 @@
 """Exact single-photon dynamics of qubit chains coupled to a 1-D waveguide.
 
-Closed-form non-Markovian time evolution via enumeration of scattering
-diagrams and residue-calculus inverse transforms, cross-validated by an
-independent delay-differential-equation integrator.
+Closed-form non-Markovian time evolution: a dynamic program over the
+scattering histories sums each qubit's paths into integer polynomials, whose
+residues at the two poles -iJ0 and -i*sigma are written in closed form; the
+field follows from the qubit amplitudes. The answers are cross-validated by a
+per-path reference walk, an independent delay-differential-equation
+integrator and the two-qubit series.
 """
 
 from .core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
@@ -21,7 +24,7 @@ from .momentum import (RationalFn, coeff_e, coeff_r, coeff_t,
                        pulse_spectrum)
 from .oracle import (DDEHistory, convergence_study, integrate_chain,
                      reconstruct_field, single_qubit_alpha)
-from .scattering import (TransferFn, chain_transmission, check_no_uhp,
+from .scattering import (FabryPerot, chain_transmission, check_no_uhp,
                          find_poles)
 
 __version__ = "0.1.0"

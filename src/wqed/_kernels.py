@@ -6,7 +6,7 @@
   first point is the base b shared by all terms. Terms with the same rate r
   share one complex exponential exp(r (t - b)) per grid point; each term
   adds its Horner polynomial, times one scalar exp(r (b - d)), on its
-  support. Anti-causal terms take the same sweep on the reflected grid -t.
+  support.
 * ``dde_rk4`` integrates the delayed qubit-amplitude equations with RK4 and
   the method of steps, one block of steps at a time. A block is never longer
   than the shortest cross-qubit delay, so every delayed value it reads is
@@ -39,14 +39,13 @@ _BLOCK_EXPONENT = 600.0
 def eval_terms_grid(terms, t: np.ndarray) -> np.ndarray:
     """Evaluate a term list on a 1-D time grid; returns complex array.
 
-    Each term is read through its `delay`, `pole`, `carrier`, `poly_coeffs`
-    (ascending, integer, real or complex; trailing zeros are dropped) and
-    `anti_causal`, the fields of `core.DelayedTerm`.
+    Each term is read through its `delay`, `pole`, `carrier` and
+    `poly_coeffs` (ascending, integer, real or complex; trailing zeros are
+    dropped), the fields of `core.DelayedTerm`.
 
-    The grid is swept in sorted order: a non-decreasing grid as it is, a
-    non-increasing one as its reversed view, any other through a stable
-    argsort (NaNs last), so the result is bitwise the same whatever the
-    order of the points. A NaN time gives NaN.
+    The grid is swept in sorted order: a non-decreasing grid as it is, any
+    other through a stable argsort (NaNs last), so the result is bitwise
+    the same whatever the order of the points. A NaN time gives NaN.
 
     The sorted grid is cut into blocks with kappa_max * (block span) <= 600,
     kappa_max the largest |Re r| of the list; a block's base b is its first
@@ -55,24 +54,17 @@ def eval_terms_grid(terms, t: np.ndarray) -> np.ndarray:
     on its support, times one scalar exp(r (b - d)), into an accumulator,
     which is then multiplied once by exp(r (t - b)). Points exactly at a
     delay get Theta = 1/2; points before a group's first delay are never
-    written, so off every support the result is exactly 0. Anti-causal
-    terms take the same sweep on the reflected grid u = -t, as causal terms
-    at delay -d with coefficients (-1)^m c_m and rate -r. A growing term
+    written, so off every support the result is exactly 0. A growing term
     whose exponential leaves float64's range raises OverflowError.
     """
     n = t.shape[0]
     res = np.zeros(n, dtype=complex)
-    # a NaN fails both order checks; the argsort puts NaNs last
+    # a NaN fails the order check; the argsort puts NaNs last
     if n == 0 or t[0] <= t[-1] and (t[1:] >= t[:-1]).all():
-        order = slice(None)
-    elif t[-1] <= t[0] and (t[1:] <= t[:-1]).all():
-        order = slice(None, None, -1)
+        order, v, m, out = None, t, n, res
     else:
         order = np.argsort(t, kind="stable")
-    v = t[order]
-    if isinstance(order, slice):
-        m, out = n, res[order]
-    else:
+        v = t[order]
         m, out = int(v.searchsorted(np.nan)), np.zeros(n, dtype=complex)
         out[m:] = complex(np.nan, np.nan)
     v, valid = v[:m], out[:m]
@@ -80,7 +72,7 @@ def eval_terms_grid(terms, t: np.ndarray) -> np.ndarray:
     delays = [float(tm.delay) for tm in terms]
     lo = v.searchsorted(delays, "left").tolist()
     hi = v.searchsorted(delays, "right").tolist()
-    causal, anti, kappa = [], [], 0.0
+    rows, kappa = [], 0.0
     for tm, d, l, h in zip(terms, delays, lo, hi):
         row = tm.poly_coeffs
         while row and not row[-1]:
@@ -90,25 +82,15 @@ def eval_terms_grid(terms, t: np.ndarray) -> np.ndarray:
         p = tm.pole + tm.carrier
         r = complex(p.imag, -p.real)  # -i (pole + carrier)
         kappa = max(kappa, abs(r.real))
-        if tm.anti_causal:
-            # u = -t: the support t <= d is u >= -d, from m - h on the
-            # ascending grid of u
-            anti.append((-d, -r, [-c if i % 2 else c
-                                  for i, c in enumerate(row)],
-                         m - h, m - l))
-        else:
-            causal.append((d, r, row, l, h))
-    if causal:
-        _sweep(v, valid, causal, kappa)
-    if anti:
-        _sweep(-v[::-1], valid[::-1], anti, kappa)
-    if not isinstance(order, slice):
+        rows.append((d, r, row, l, h))
+    _sweep(v, valid, rows, kappa)
+    if order is not None:
         res[order] = out
     return res
 
 
 def _sweep(v, out, terms, kappa):
-    """Add causal terms (delay, rate, coefficients, lo, hi) into `out` on the
+    """Add the terms (delay, rate, coefficients, lo, hi) into `out` on the
     sorted grid `v`: a term's support is v[lo:], and v[lo:hi] its delay."""
     if not v.size:
         return

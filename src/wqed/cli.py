@@ -278,8 +278,7 @@ def _check_no_uhp(cfg) -> dict:
     ok = True
     for name, fn in (("t", coeff_t(j0)), ("r", coeff_r(j0)),
                      ("e", coeff_e(j0))):
-        rep = scattering.check_no_uhp(
-            scattering.TransferFn("rational", rational=fn, j0=j0))
+        rep = scattering.check_no_uhp(fn)
         results[name] = {"pass": bool(rep["pass"]),
                          "worst_im": float(rep["worst_im"])}
         ok = ok and rep["pass"]

@@ -7,9 +7,9 @@ A closed-form amplitude is a sum of delayed terms
 
     Theta(t - t0) * poly(t - t0) * exp(-i*p*(t - t0)) * exp(-i*W*(t - t0)),
 
-with Theta(0) = 0.5 by convention. Terms with Im(p) < 0 decay; anti-causal
-terms (supported for the single-qubit backward-time check only) carry
-Theta(t0 - t) instead.
+with Theta(0) = 0.5 by convention. Terms with Im(p) < 0 decay. Every term
+is causal: the lower-half-plane poles give the amplitude for t > t0, and
+the engine forms no others.
 """
 
 from __future__ import annotations
@@ -139,33 +139,30 @@ class DelayedTerm:
 
     Value at time t, with tau = t - delay:
 
-        causal:      Theta(tau)  * sum_m c_m tau^m * exp(-i*(pole+carrier)*tau)
-        anti-causal: Theta(-tau) * sum_m c_m tau^m * exp(-i*(pole+carrier)*tau)
+        Theta(tau) * sum_m c_m tau^m * exp(-i*(pole+carrier)*tau)
     """
 
     delay: float
     pole: complex
     poly_coeffs: tuple[complex, ...]
     carrier: float
-    anti_causal: bool = False
 
     def __post_init__(self):
         if not self.poly_coeffs:
             raise ValueError("poly_coeffs must be non-empty")
 
 
-def _theta(tau, anti_causal: bool):
-    x = -tau if anti_causal else tau
-    return np.where(x > 0, 1.0, np.where(x == 0, THETA_AT_ZERO, 0.0))
+def _theta(tau):
+    return np.where(tau > 0, 1.0, np.where(tau == 0, THETA_AT_ZERO, 0.0))
 
 
 def eval_term(term: DelayedTerm, t):
     """Evaluate one delayed term at time(s) t (scalar or array)."""
     t = np.asarray(t, dtype=float)
     tau = t - term.delay
-    theta = _theta(tau, term.anti_causal)
+    theta = _theta(tau)
     # 0 off the support, without evaluating an overflowing exponential there
-    tau = np.minimum(tau, 0.0) if term.anti_causal else np.maximum(tau, 0.0)
+    tau = np.maximum(tau, 0.0)
     poly = np.zeros_like(tau, dtype=complex)
     for c in reversed(term.poly_coeffs):
         poly = poly * tau + c
@@ -189,9 +186,8 @@ class TimeSeriesAmplitude:
         return eval_series(self, t)
 
     def support_start(self) -> float:
-        """Earliest time at which any causal term can be nonzero."""
-        causal = [tm.delay for tm in self.terms if not tm.anti_causal]
-        return min(causal) if causal else np.inf
+        """Earliest time at which any term can be nonzero."""
+        return min((tm.delay for tm in self.terms), default=np.inf)
 
     def before(self, horizon: float) -> "TimeSeriesAmplitude":
         """The series of the terms with delay < horizon.
@@ -230,10 +226,9 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     the term's support (at tau_k = t_f - delay for a term that does not
     decay, kappa <= 0). The bound sums that, in one loop over the terms
     and their coefficients and in logarithms (tau^k alone overflows for k
-    near 171), over the causal terms that switch on before t_f; anti-causal
-    terms, which only the backward-time check of a single qubit forms, are
-    left out; a bound past float64 is inf. It sees the cancellation inside
-    a polynomial and between terms, which the sum of |term(t)| does not.
+    near 171), over the terms that switch on before t_f; a bound past
+    float64 is inf. It sees the cancellation inside a polynomial and
+    between terms, which the sum of |term(t)| does not.
 
     What it covers under the grid sweep of `_kernels.eval_terms_grid`:
 
@@ -264,7 +259,7 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     total = 0.0
     for tm in series.terms:
         span = t_f - tm.delay
-        if tm.anti_causal or span <= 0:
+        if span <= 0:
             continue
         kappa = -tm.pole.imag
         size = 0.0

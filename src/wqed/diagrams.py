@@ -103,8 +103,8 @@ def finish_excitation(cfg: ChainConfig, d: Diagram) -> TimeSeriesAmplitude:
         f = simple_pole(1j, -1j * cfg.j0)
     else:
         f = mul(d.f, coeff_e(cfg.j0))
+    _assert_causal(f)
     terms = inverse_transform(f, d.total_delay, cfg.omega)
-    _assert_causal(terms)
     return TimeSeriesAmplitude(tuple(terms), label=f"e:{fin.qubit}")
 
 
@@ -117,9 +117,8 @@ def field_terms(cfg: ChainConfig, d: Diagram) -> tuple[DelayedTerm, ...]:
     """
     if d.finisher.kind != "field":
         raise GeometryError("diagram does not end in a field finisher")
-    terms = inverse_transform(d.f, d.total_delay, cfg.omega)
-    _assert_causal(terms)
-    return tuple(terms)
+    _assert_causal(d.f)
+    return tuple(inverse_transform(d.f, d.total_delay, cfg.omega))
 
 
 def finish_field(cfg: ChainConfig, d: Diagram, x: float) -> TimeSeriesAmplitude:
@@ -148,11 +147,11 @@ def field_segment(cfg: ChainConfig, d: Diagram) -> tuple[float, float]:
     return lo, cfg.positions[q]
 
 
-def _assert_causal(terms) -> None:
-    for tm in terms:
-        if tm.anti_causal or tm.pole.imag > 1e-12:
+def _assert_causal(f: RationalFn) -> None:
+    for p, _ in f.poles:
+        if p.imag > 1e-12:
             raise AssertionError(
-                f"diagram produced an upper-half-plane pole {tm.pole}")
+                f"diagram produced an upper-half-plane pole {p}")
 
 
 def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,

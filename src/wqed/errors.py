@@ -6,7 +6,7 @@ class WqedError(Exception):
 
 
 class GeometryError(WqedError):
-    """A diagram cell or field query is inconsistent with the chain geometry."""
+    """A diagram or field query is inconsistent with the chain geometry."""
 
 
 class IllConditioned(WqedError):

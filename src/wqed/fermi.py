@@ -16,10 +16,12 @@ the diagram engine, never derived from it.
 
 Each term is evaluated only on its support tau >= 0, point by point, so a
 term that has not switched on costs nothing and a value depends on its own
-point alone. The power ratio (J0 tau)^p / p! is taken in log space only
-for p >= 150 and where the direct power overflows. A NaN time or position,
-and t = +inf (no finite sum of terms is exact there), give NaN; an empty
-input gives an empty result.
+point alone. The power ratio (J0 tau)^p / p! times exp(-(J0+iW)tau) is a
+product of the two only where both stay in float64's normal range; for
+p >= 150, where the direct power overflows, and where exp(-J0 tau)
+underflows, it is one exponential with -J0 tau folded into the logarithm
+of the ratio. A NaN time or position, and t = +inf (no finite sum of terms
+is exact there), give NaN; an empty input gives an empty result.
 """
 
 from __future__ import annotations
@@ -36,32 +38,40 @@ __all__ = ["CollectiveRates", "collective_rates", "fermi_e1", "fermi_e1_terms",
            "fermi_em1_terms", "fermi_em1", "fermi_full_state", "markovian_e1"]
 
 
-def _power_ratio(x, power):
-    """x^power / power! for x >= 0, each element on its own.
+#: exp(-x) is a normal float64 for x below this
+_X_NORMAL = -math.log(np.finfo(float).tiny)
 
-    Directly, except in log space for power >= 150 (the bare factorial
-    overflows at 171; the deep Markovian regime has hundreds of active
-    round trips) and where x^power overflows (large J0 tau at long times).
+
+def _power_ratio(x, power, z):
+    """x^power / power! * exp(z) for x >= 0 and Re z = -x, each element on
+    its own.
+
+    Directly, except in log space, z added to the ratio's logarithm, for
+    power >= 150 (the bare factorial overflows at 171; the deep Markovian
+    regime has hundreds of active round trips), where x^power overflows
+    and where exp(-x) underflows (large J0 tau at long times).
     """
     if power < 150:
         with np.errstate(over="ignore"):
-            out = x ** power / math.factorial(power)
-        far = np.isinf(out)
+            ratio = x ** power / math.factorial(power)
+        far = np.isinf(ratio) | (x > _X_NORMAL)
+        out = np.where(far, 0.0, ratio) * np.exp(z)
     else:
-        out, far = np.zeros_like(x), x > 0    # log(0) never taken
-    out[far] = np.exp(power * np.log(x[far]) - math.lgamma(power + 1))
+        out, far = np.zeros_like(z), x > 0    # log(0) never taken
+    out[far] = np.exp(power * np.log(x[far]) - math.lgamma(power + 1) + z[far])
     return out
 
 
 def _terms(t, s, first, L, j0, omega, mag):
     """The terms of a series, each on its support only.
 
-    Term p = first, first + 2, ... is mag(J0 tau, p) exp(-(J0+iW)tau)
-    Theta(tau) with tau = t - pL + s. Yields (i, value): the flat indices
-    of the broadcast (t, s) where 0 <= tau < inf, and the term there. A
-    term's support lies inside the previous one's, so each term looks only
-    at those points, and the series stops at the first term that has not
-    switched on anywhere.
+    Term p = first, first + 2, ... is mag(J0 tau, p, -(J0+iW)tau)
+    Theta(tau) with tau = t - pL + s, mag(x, p, z) a power ratio of x
+    times exp(z). Yields (i, value): the flat indices of the broadcast
+    (t, s) where 0 <= tau < inf, and the term there. A term's support lies
+    inside the previous one's, so each term looks only at those points,
+    and the series stops at the first term that has not switched on
+    anywhere.
     """
     t, s = (a.ravel() for a in np.broadcast_arrays(t, s))
     i = np.arange(t.size)
@@ -71,9 +81,8 @@ def _terms(t, s, first, L, j0, omega, mag):
         i, tau = i[on], tau[on]
         if not i.size:
             return
-        decay = (np.exp(-(j0 + 1j * omega) * tau)
-                 * np.where(tau > 0, 1.0, THETA_AT_ZERO))
-        yield i, mag(j0 * tau, p) * decay
+        yield i, (mag(j0 * tau, p, -(j0 + 1j * omega) * tau)
+                  * np.where(tau > 0, 1.0, THETA_AT_ZERO))
 
 
 def _series(t, s, first, L, j0, omega, mag):
@@ -95,14 +104,15 @@ def _split(t, first, L, j0, omega, mag):
     return out
 
 
-def _e1_mag(x, p):
-    """-x^p / p!, the magnitude of a term of e_{+1}."""
-    return -_power_ratio(x, p)
+def _e1_mag(x, p, z):
+    """-x^p / p! exp(z), a term of e_{+1}."""
+    return -_power_ratio(x, p, z)
 
 
-def _external_mag(x, p):
-    """(x^p - p x^(p-1)) / p!, the external field's magnitude; 1 at p = 0."""
-    return _power_ratio(x, p) - _power_ratio(x, p - 1) if p else 1.0
+def _external_mag(x, p, z):
+    """(x^p - p x^(p-1)) / p! exp(z), a term of the external field; exp(z)
+    at p = 0."""
+    return _power_ratio(x, p, z) - _power_ratio(x, p - 1, z) if p else np.exp(z)
 
 
 def fermi_e1_terms(t, j0, omega, L):

@@ -18,7 +18,7 @@ Im(p) < 0 and order m contributes
     Theta(tau) * C * (-i) * (-i*tau)^(m-1)/(m-1)! * exp(-i*p*tau),
 
 closing the contour downward for tau > 0; poles with Im(p) > 0 contribute
-only for tau < 0 (anti-causal terms, flagged).
+only for tau < 0, where the integral is that of f(-D) at -tau.
 
 The amplitude engine splits no partial fractions: its class functions have
 poles only at -iJ0 and at a pulse's -i*sigma, and `diagrams.class_rows`
@@ -196,12 +196,15 @@ def _check_recombination(f: RationalFn, pieces) -> None:
 
 
 def inverse_transform(f: RationalFn, delay: float, carrier: float) -> list[DelayedTerm]:
-    """Residue evaluation of (1/2pi) Int f(D) exp(-i*D*(t-delay)) dD.
+    """Residue evaluation of (1/2pi) Int f(D) exp(-i*D*tau) dD for
+    tau = t - delay > 0.
 
-    Returns one DelayedTerm per pole (orders merged into the polynomial).
-    Poles on the real axis are rejected: the transform is not absolutely
-    convergent there and the caller has to regularize first. Pole orders
-    above 171 raise HorizonTooLarge: (k-1)! overflows float64 there.
+    Returns one DelayedTerm per lower-half-plane pole (orders merged into
+    the polynomial); an upper-half-plane pole adds nothing for tau > 0.
+    The branch tau < 0 is the inverse transform of f(-D) at -tau. Poles on
+    the real axis are rejected: the transform is not absolutely convergent
+    there and the caller has to regularize first. Pole orders above 171
+    raise HorizonTooLarge: (k-1)! overflows float64 there.
     """
     if not f.is_strictly_proper:
         raise ValueError("inverse transform requires a strictly proper function")
@@ -214,17 +217,16 @@ def inverse_transform(f: RationalFn, delay: float, carrier: float) -> list[Delay
             raise RealAxisPole(f"pole {p} sits on the real axis")
     by_pole: dict[complex, list[tuple[int, complex]]] = {}
     for p, k, c in partial_fractions(f):
-        by_pole.setdefault(p, []).append((k, c))
+        if p.imag < 0:
+            by_pole.setdefault(p, []).append((k, c))
     terms = []
     for p, orders in sorted(by_pole.items(), key=lambda kv: (kv[0].real, kv[0].imag)):
-        anti = p.imag > 0
         npoly = max(k for k, _ in orders)
         coeffs = np.zeros(npoly, dtype=complex)
         for k, c in orders:
-            sign = 1j if anti else -1j
-            coeffs[k - 1] += c * sign * (-1j) ** (k - 1) / math.factorial(k - 1)
+            coeffs[k - 1] += c * -1j * (-1j) ** (k - 1) / math.factorial(k - 1)
         terms.append(DelayedTerm(delay=delay, pole=p, poly_coeffs=tuple(coeffs),
-                                 carrier=carrier, anti_causal=anti))
+                                 carrier=carrier))
     return terms
 
 

@@ -2,54 +2,46 @@
 
 Causality of the chain shows up in the analytic structure of its scattering
 parameters: all poles in the detuning plane must lie in the closed lower
-half-plane. For rational functions the poles are read off directly. The
-two-qubit round-trip (Fabry-Perot) transmission is transcendental, but it has
-one pole per sign and Lambert W branch (Corless et al., Adv. Comput. Math. 5
-(1996) 329), so its poles in a window are enumerated in closed form.
+half-plane. A rational function's poles are read off directly, all of them.
+The two-qubit round-trip (Fabry-Perot) transmission is transcendental, but it
+has one pole per sign and Lambert W branch (Corless et al., Adv. Comput. Math.
+5 (1996) 329), so its poles in a window are enumerated in closed form.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergence
 from .momentum import RationalFn
 
-#: default search rectangle in units of j0: re in [-20, 20], im in [-20, 2]
+#: Fabry-Perot search rectangle in units of j0: re in [-20, 20], im in [-20, 2]
 DEFAULT_WINDOW = (-20.0, 20.0, -20.0, 2.0)
 
 
 @dataclass(frozen=True)
-class TransferFn:
-    """A scattering parameter: either rational in the detuning, or the
-    two-qubit Fabry-Perot transmission."""
+class FabryPerot:
+    """The two-qubit round-trip (Fabry-Perot) transmission
+    T = t^2 e^{ikL} / (1 - r^2 e^{2ikL}), k = omega + delta."""
 
-    kind: str                      # "rational" | "fabry_perot"
-    rational: RationalFn | None = None
-    j0: float = 0.0
-    omega: float = 0.0
-    L: float = 0.0
-    window: tuple = field(default=None)
+    j0: float
+    omega: float
+    L: float
 
     def __post_init__(self):
-        if self.kind not in ("rational", "fabry_perot"):
-            raise ValueError("kind must be 'rational' or 'fabry_perot'")
-        if self.kind == "rational" and self.rational is None:
-            raise ValueError("rational kind needs a RationalFn")
-        if self.kind == "fabry_perot" and not (self.j0 > 0 and self.L > 0):
-            raise ValueError("fabry_perot kind needs j0 > 0 and L > 0")
-        if self.window is None:
-            scale = self.j0 if self.j0 > 0 else 1.0
-            object.__setattr__(
-                self, "window", tuple(w * scale for w in DEFAULT_WINDOW))
+        if not (self.j0 > 0 and self.L > 0):
+            raise ValueError("Fabry-Perot transmission needs j0 > 0 and L > 0")
+
+    @property
+    def window(self) -> tuple:
+        """Where `find_poles` looks: DEFAULT_WINDOW in units of j0."""
+        return tuple(w * self.j0 for w in DEFAULT_WINDOW)
 
     def __call__(self, delta):
-        if self.kind == "rational":
-            return self.rational(delta)
         # t^2 e^{ikL} / (1 - r^2 e^{2ikL}) with t = delta / (delta + i j0)
         delta = np.asarray(delta, dtype=complex)
         val = (delta * delta * np.exp(1j * (self.omega + delta) * self.L)
@@ -70,16 +62,16 @@ class TransferFn:
         return (delta + 1j * j0) ** 2 + j0 * j0 * np.exp(2j * k * self.L)
 
 
-def chain_transmission(j0: float, omega: float, L: float) -> TransferFn:
+def chain_transmission(j0: float, omega: float, L: float) -> FabryPerot:
     """Transmission through two qubits separated by L.
 
     Geometric sum of all internal round trips:
     T = t^2 e^{ikL} / (1 - r^2 e^{2ikL}), k = omega + delta.
     """
-    return TransferFn("fabry_perot", j0=j0, omega=omega, L=L)
+    return FabryPerot(j0, omega, L)
 
 
-def transmission_partial_sum(f: TransferFn, delta, n_max: int):
+def transmission_partial_sum(f: FabryPerot, delta, n_max: int):
     """Truncated round-trip sum; cross-check of the geometric closed form."""
     delta = np.asarray(delta, dtype=complex)
     k = f.omega + delta
@@ -122,42 +114,40 @@ def _lambertw(log_z: complex, k: int) -> complex:
     raise NonConvergence(f"Halley iteration for W_{k}(exp({log_z})) failed")
 
 
-def find_poles(f: TransferFn, window: tuple | None = None) -> list[complex]:
-    """Poles of f inside the window (re_lo, re_hi, im_lo, im_hi).
+def find_poles(f: RationalFn | FabryPerot) -> list[complex]:
+    """Poles of f, sorted by real and then imaginary part.
 
-    Rational functions report their exact poles. With u = D + i*j0 the
-    Fabry-Perot denominator vanishes where u e^{-iuL} = +-i j0 e^{i omega L +
-    j0 L}, i.e. at D = i W_k(+-j0 L e^{j0 L + i omega L}) / L - i j0: one pole
-    per sign and branch k (a double zero is listed twice).
+    A rational function reports every one of its poles. A Fabry-Perot
+    transmission has infinitely many; those inside f.window
+    (re_lo, re_hi, im_lo, im_hi) are listed. With u = D + i*j0 its
+    denominator vanishes where u e^{-iuL} = +-i j0 e^{i omega L + j0 L},
+    i.e. at D = i W_k(+-j0 L e^{j0 L + i omega L}) / L - i j0: one pole per
+    sign and branch k (a double zero is listed twice).
     """
-    if window is None:
-        window = f.window
-    re_lo, re_hi, im_lo, im_hi = window
-    if f.kind == "rational":
-        poles = [p for p, _ in f.rational.poles]
-    else:
-        L, x = f.L, f.j0 * f.L
-        # Re D = -Im W_k / L and |Im W_k| >= (2|k| - 2) pi, so no branch with
-        # |k| > k_max reaches the window
-        k_max = math.floor(max(abs(re_lo), abs(re_hi)) * L / (2 * math.pi)) + 1
-        log_zs = [complex(math.log(x) + x,
-                          cmath.phase(sign * cmath.exp(1j * f.omega * L)))
-                  for sign in (1.0, -1.0)]
-        poles = [1j * _lambertw(log_z, k) / L - 1j * f.j0
-                 for log_z in log_zs for k in range(-k_max, k_max + 1)]
+    if isinstance(f, RationalFn):
+        return [p for p, _ in f.poles]     # canonical order: sorted
+    re_lo, re_hi, im_lo, im_hi = f.window
+    L, x = f.L, f.j0 * f.L
+    # Re D = -Im W_k / L and |Im W_k| >= (2|k| - 2) pi, so no branch with
+    # |k| > k_max reaches the window
+    k_max = math.floor(max(abs(re_lo), abs(re_hi)) * L / (2 * math.pi)) + 1
+    log_zs = [complex(math.log(x) + x,
+                      cmath.phase(sign * cmath.exp(1j * f.omega * L)))
+              for sign in (1.0, -1.0)]
+    poles = [1j * _lambertw(log_z, k) / L - 1j * f.j0
+             for log_z in log_zs for k in range(-k_max, k_max + 1)]
     return sorted((p for p in poles
                    if re_lo <= p.real <= re_hi and im_lo <= p.imag <= im_hi),
                   key=lambda z: (z.real, z.imag))
 
 
-def check_no_uhp(f: TransferFn, window: tuple | None = None,
-                 margin: float = 1e-9) -> dict:
-    """Report whether every pole in the window sits at Im <= margin.
+def check_no_uhp(f: RationalFn | FabryPerot, margin: float = 1e-9) -> dict:
+    """Report whether every pole `find_poles` lists sits at Im <= margin.
 
     Fabry-Perot poles pass on every branch: |W| e^{Re W} = j0 L e^{j0 L}
     forces Re W_k <= j0 L (x e^x increases), so Im D = Re W_k / L - j0 <= 0,
     with equality only at D = 0 when omega L is in pi*Z.
     """
-    poles = find_poles(f, window)
+    poles = find_poles(f)
     worst = max((p.imag for p in poles), default=-math.inf)
     return {"pass": worst <= margin, "poles": poles, "worst_im": worst}

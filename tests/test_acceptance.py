@@ -188,21 +188,29 @@ def test_criterion_6_single_qubit_both_time_directions():
     worst = max(abs(abs(oracle.single_qubit_alpha(float(t), g0))
                     - np.exp(-g0 * abs(t) / 2)) for t in ts)
     # residue path for the symmetric spectrum 2J0/(D^2+J0^2): the pole in the
-    # upper half plane produces the backward-time branch e^{+J0 t} Theta(-t)
+    # lower half plane gives the forward branch e^{-J0 t}, and the one in the
+    # upper half plane the backward branch e^{+J0 t}, as the transform of the
+    # reflected spectrum f(-D) taken at -t
     j0 = g0 / 2
     f = momentum.RationalFn((2 * j0,), ((-1j * j0, 1), (1j * j0, 1)))
-    terms = momentum.inverse_transform(f, 0.0, 0.0)
-    anti = [tm for tm in terms if tm.anti_causal]
-    ok_anti = len(anti) == 1
-    if ok_anti:
-        tm = anti[0]
-        ok_anti = (abs(tm.pole - 1j * j0) < 1e-12
-                   and len(tm.poly_coeffs) == 1
-                   and abs(tm.poly_coeffs[0] - 1.0) < 1e-12)
-        back = np.linspace(-4.0, -1e-3, 97)
-        vals = TimeSeriesAmplitude(tuple(anti))(back)
-        ok_anti = ok_anti and np.max(np.abs(vals - np.exp(j0 * back))) < 1e-12
-    _report(6, worst < 1e-8 and ok_anti, f"ode_err={worst:.2e}")
+    # f(-D): coefficients (-1)^k c_k, poles -p, all times (-1)^M
+    m = f.total_multiplicity
+    reflected = momentum.RationalFn(
+        tuple((-1) ** (m + k) * c for k, c in enumerate(f.numer)),
+        tuple((-p, k) for p, k in f.poles))
+    ok = True
+    for g, ts, sign in ((f, np.linspace(1e-3, 4.0, 97), 1.0),
+                        (reflected, np.linspace(-4.0, -1e-3, 97), -1.0)):
+        terms = momentum.inverse_transform(g, 0.0, 0.0)
+        ok = ok and len(terms) == 1
+        if ok:
+            (tm,) = terms
+            ok = (abs(tm.pole + 1j * j0) < 1e-12
+                  and len(tm.poly_coeffs) == 1
+                  and abs(tm.poly_coeffs[0] - 1.0) < 1e-12)
+            vals = TimeSeriesAmplitude(tuple(terms))(sign * ts)
+            ok = ok and np.max(np.abs(vals - np.exp(-sign * j0 * ts))) < 1e-12
+    _report(6, worst < 1e-8 and ok, f"ode_err={worst:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +241,7 @@ def test_criterion_8_no_uhp():
     from wqed.momentum import coeff_e, coeff_r, coeff_t, simple_pole
     ok = True
     for fn in (coeff_t(1.0), coeff_r(1.0), coeff_e(1.0)):
-        rep = scattering.check_no_uhp(
-            scattering.TransferFn("rational", rational=fn, j0=1.0))
+        rep = scattering.check_no_uhp(fn)
         ok = ok and rep["pass"]
     count = 0
     for th in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi):
@@ -243,8 +250,7 @@ def test_criterion_8_no_uhp():
             rep = scattering.check_no_uhp(scattering.chain_transmission(1.0, om, L))
             ok = ok and rep["pass"]
             count += 1
-    bad = scattering.TransferFn("rational",
-                                rational=simple_pole(1.0, 0.5 + 1j), j0=1.0)
+    bad = simple_pole(1.0, 0.5 + 1j)
     negative_control_fails = not scattering.check_no_uhp(bad)["pass"]
     _report(8, ok and count == 15 and negative_control_fails,
             f"{count} sweep points")

@@ -69,19 +69,11 @@ def test_eval_term_theta_midpoint():
     assert eval_term(tm, 2.0) == pytest.approx(0.5)
 
 
-def test_eval_term_anti_causal():
-    tm = DelayedTerm(delay=0.0, pole=1j, poly_coeffs=(1.0,), carrier=0.0,
-                     anti_causal=True)
-    assert eval_term(tm, 1.0) == 0.0
-    assert eval_term(tm, -2.0) == pytest.approx(np.exp(-2.0))
-    assert eval_term(tm, 0.0) == pytest.approx(0.5)
-
-
 def test_eval_series_matches_term_sum():
     terms = (
         DelayedTerm(0.0, -1j, (1.0,), 2.0),
         DelayedTerm(1.5, -2j, (0.5, -0.25j, 1.0), 2.0),
-        DelayedTerm(0.5, 1j, (1.0,), 0.0, anti_causal=True),
+        DelayedTerm(0.5, 1j, (1.0,), 0.0),
     )
     series = TimeSeriesAmplitude(terms)
     ts = np.linspace(-1.0, 4.0, 57)
@@ -97,7 +89,7 @@ def test_eval_series_matches_term_sum():
 @pytest.mark.parametrize("terms", [
     (DelayedTerm(0.0, -1j, (1.0,), 2.0),
      DelayedTerm(1.5, -2j, (0.5, -0.25j, 1.0), 2.0),
-     DelayedTerm(0.5, 1j, (1.0,), 0.0, anti_causal=True)),
+     DelayedTerm(0.5, 1j, (1.0,), 0.0)),
     ()], ids=["terms", "no-terms"])
 def test_eval_series_keeps_the_grid_shape(t, terms):
     got = TimeSeriesAmplitude(terms)(t)

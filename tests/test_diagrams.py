@@ -297,7 +297,7 @@ def _per_path_field(cfg, init, t, xs):
         for i, x in enumerate(xs):
             w = 1.0 if lo < x < hi else 0.5 if x in (lo, hi) else 0.0
             for tm in terms:
-                if w and not tm.anti_causal:
+                if w:
                     v = w * eval_term(replace(tm, delay=tm.delay
                                               + sign * (x - x_from)), t)
                     out[branch][i] += v
@@ -569,7 +569,6 @@ def test_class_function_is_the_product_of_coefficients():
             == sorted(tm.pole.imag for tm in ref)
         for pole, coeffs in rows:
             (want,) = [r for r in ref if r.pole == pole]
-            assert (want.delay, want.carrier, want.anti_causal) \
-                == (0.0, cfg.omega, False)
+            assert (want.delay, want.carrier) == (0.0, cfg.omega)
             np.testing.assert_allclose(coeffs, want.poly_coeffs,
                                        rtol=1e-13, atol=0)

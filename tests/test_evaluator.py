@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -303,7 +302,7 @@ def _exact_series(series, ts):
     imaginary, -i kappa, so that phase is common to a delay's terms."""
     groups = {}
     for tm in series.terms:
-        assert tm.pole.real == 0 and not tm.anti_causal
+        assert tm.pole.real == 0
         groups.setdefault((tm.delay, tm.carrier), []).append(
             (Decimal(-tm.pole.imag),
              [(Decimal(c.real), Decimal(c.imag)) for c in tm.poly_coeffs]))
@@ -344,21 +343,6 @@ def test_rounding_bound_covers_the_kernel(n, start, t_f, omega):
     for amp in amps.values():
         err = np.max(np.abs(amp(ts) - _exact_series(amp, ts)))
         assert err < rounding_bound(amp, t_f)
-
-
-def test_rounding_bound_skips_anti_causal_terms():
-    """An anti-causal term (kappa < 0) has no causal support to bound: alone
-    it adds nothing, next to a causal term the bound is the causal part's,
-    and no logarithm of a negative tau is taken."""
-    causal = DelayedTerm(0.0, -1j, (1.0, -2.0, 0.5), 3.0)
-    anti = DelayedTerm(0.5, 1j, (1.0, 1.0), 0.0, anti_causal=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        alone = rounding_bound(TimeSeriesAmplitude((anti,)), 4.0)
-        mixed = rounding_bound(TimeSeriesAmplitude((causal, anti)), 4.0)
-        part = rounding_bound(TimeSeriesAmplitude((causal,)), 4.0)
-    assert alone == 0.0
-    assert math.isfinite(mixed) and mixed == part > 0
 
 
 @pytest.mark.parametrize("pole, size", [(0j, 6.0), (1j, 6 * math.e ** 2)])
@@ -611,11 +595,11 @@ def test_probe_requires_distinct_source(cfg, excited):
 
 def _reference_merge(terms):
     """Merging as it was done on DelayedTerm objects: numpy sums per exact
-    (delay, pole, carrier, causality) key, in input order, the 1e-300
+    (delay, pole, carrier) key, in input order, the 1e-300
     all-zero drop and the (delay, pole) sort."""
     groups = {}
     for tm in terms:
-        key = (tm.delay, tm.pole, tm.carrier, tm.anti_causal)
+        key = (tm.delay, tm.pole, tm.carrier)
         groups.setdefault(key, []).append(tm)
     out = []
     for g in groups.values():
@@ -683,16 +667,14 @@ def _bits(values):
 
 
 def _term_keys(series):
-    return [(tm.delay, tm.pole, tm.carrier, tm.anti_causal)
-            for tm in series.terms]
+    return [(tm.delay, tm.pole, tm.carrier) for tm in series.terms]
 
 
 def _assert_same_terms(got, want):
     """Term for term and bit for bit."""
     assert len(got.terms) == len(want.terms)
     for g, w in zip(got.terms, want.terms):
-        assert ((g.delay, g.pole, g.carrier, g.anti_causal)
-                == (w.delay, w.pole, w.carrier, w.anti_causal))
+        assert (g.delay, g.pole, g.carrier) == (w.delay, w.pole, w.carrier)
         assert np.array_equal(_bits(g.poly_coeffs), _bits(w.poly_coeffs))
 
 

@@ -74,6 +74,21 @@ def test_terms_not_yet_switched_on_stay_finite_past_709():
         assert np.all(np.isfinite(series(ts, 1.0, 10.0, 1.0)))
 
 
+@pytest.mark.parametrize("t", [740.0, 760.0])
+def test_deep_markovian_long_times(t):
+    """At J0 = 1, L = 0.01 and W = 0 the series has settled on -+50/101 (a
+    40-digit sum gives that at t = 720, 740 and 760); there x^p / p!
+    overflows and exp(-J0 tau) underflows, so each term is one exponential
+    (warnings are errors)."""
+    # the state's e_p1 and e_m1 are fermi_e1 and fermi_em1: one call per t,
+    # as each component sums about 38,000 terms
+    st = fermi.fermi_full_state(t, np.linspace(-1.0, 1.0, 9), 1.0, 0.0, 0.01)
+    for key, val in st.items():
+        assert np.all(np.isfinite(val)), key
+    assert np.all(np.abs(st["e_p1"] + 50 / 101) < 1e-12)
+    assert np.all(np.abs(st["e_m1"] - 50 / 101) < 1e-12)
+
+
 def test_collective_rates():
     r = fermi.collective_rates(2.0, 0.0)
     assert r.gamma1 == pytest.approx(4.0)
@@ -238,10 +253,10 @@ def term_points(monkeypatch):
     each must hold J0 tau >= 0 only."""
     sizes, power_ratio = [], fermi._power_ratio
 
-    def counted(x, power):
+    def counted(x, power, z):
         assert np.all(x >= 0)
         sizes.append(x.size)
-        return power_ratio(x, power)
+        return power_ratio(x, power, z)
 
     monkeypatch.setattr(fermi, "_power_ratio", counted)
     return sizes

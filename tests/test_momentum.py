@@ -79,7 +79,6 @@ def test_inverse_transform_single_pole():
     assert len(terms) == 1
     tm = terms[0]
     assert tm.pole == pytest.approx(-1j * j0)
-    assert not tm.anti_causal
     assert tm.poly_coeffs[0] == pytest.approx(-1j * math.sqrt(j0))
     tau = 0.9
     assert eval_term(tm, tau) == pytest.approx(
@@ -97,13 +96,21 @@ def test_inverse_transform_double_pole():
 
 
 def test_inverse_transform_two_sided():
-    # 2 J0/(D^2 + J0^2) -> e^{-J0 |t|}, split into causal + anti-causal parts
+    # 2 J0/(D^2 + J0^2) -> e^{-J0 |t|}: the lower pole gives t > 0, and the
+    # upper one t < 0 as the transform of f(-D) at -t
     j0 = 1.0
     f = RationalFn((2 * j0,), ((-1j * j0, 1), (1j * j0, 1)))
-    terms = inverse_transform(f, 0.0, 0.0)
-    assert sorted(tm.anti_causal for tm in terms) == [False, True]
+    (ahead,) = inverse_transform(f, 0.0, 0.0)
+    assert ahead.pole == -1j * j0
+    # f(-D): coefficients (-1)^k c_k, poles -p, all times (-1)^M
+    m = f.total_multiplicity
+    reflected = RationalFn(
+        tuple((-1) ** (m + k) * c for k, c in enumerate(f.numer)),
+        tuple((-p, k) for p, k in f.poles))
+    (back,) = inverse_transform(reflected, 0.0, 0.0)
+    assert back.pole == -1j * j0
     for t in (-1.4, -0.2, 0.6, 2.0):
-        val = sum(eval_term(tm, t) for tm in terms)
+        val = eval_term(ahead, t) if t > 0 else eval_term(back, -t)
         assert val == pytest.approx(np.exp(-j0 * abs(t)), abs=1e-13)
 
 

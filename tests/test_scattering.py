@@ -10,7 +10,7 @@ import pytest
 
 import wqed
 from wqed.momentum import coeff_e, coeff_r, coeff_t, simple_pole
-from wqed.scattering import (TransferFn, _lambertw, chain_transmission,
+from wqed.scattering import (FabryPerot, _lambertw, chain_transmission,
                              check_no_uhp, find_poles,
                              transmission_partial_sum)
 
@@ -39,25 +39,25 @@ def test_geometric_sum_identity():
 
 
 def test_rational_pole_listing():
-    tf = TransferFn("rational", rational=coeff_t(1.0), j0=1.0)
-    assert find_poles(tf) == [-1j]
+    assert find_poles(coeff_t(1.0)) == [-1j]
     # pulse spectrum pole at -i*sigma
-    ps = TransferFn("rational", rational=simple_pole(1.0, -0.8j), j0=1.0)
-    assert find_poles(ps) == [-0.8j]
+    assert find_poles(simple_pole(1.0, -0.8j)) == [-0.8j]
 
 
 def test_single_qubit_coefficients_pass():
     for fn in (coeff_t(1.0), coeff_r(1.0), coeff_e(1.0)):
-        rep = check_no_uhp(TransferFn("rational", rational=fn, j0=1.0))
+        rep = check_no_uhp(fn)
         assert rep["pass"]
         assert rep["worst_im"] <= 0
 
 
 def test_uhp_negative_control():
-    bad = TransferFn("rational", rational=simple_pole(1.0, 1j), j0=1.0)
-    rep = check_no_uhp(bad)
-    assert not rep["pass"]
-    assert rep["worst_im"] == pytest.approx(1.0)
+    # every pole of a rational function is seen, also far from -i j0
+    for pole in (1j, 5j, 30 + 1j):
+        rep = check_no_uhp(simple_pole(1.0, pole))
+        assert not rep["pass"]
+        assert rep["poles"] == [pole]
+        assert rep["worst_im"] == pole.imag
 
 
 def test_fabry_perot_markov_poles():
@@ -93,7 +93,7 @@ def test_no_uhp_sweep():
             assert rep["pass"], (th, L, rep["worst_im"])
 
 
-def _winding_count(f: TransferFn, n: int = 200_000) -> int:
+def _winding_count(f: FabryPerot, n: int = 200_000) -> int:
     """Zeros of the entire function f.denominator inside f.window, by the
     argument principle: the winding of its phase around the boundary."""
     re_lo, re_hi, im_lo, im_hi = f.window
@@ -171,4 +171,4 @@ def test_fabry_perot_rejects_nonpositive_j0_or_L(j0, L):
     with pytest.raises(ValueError):
         chain_transmission(j0, 3.0, L)
     with pytest.raises(ValueError):
-        TransferFn("fabry_perot", j0=j0, omega=3.0, L=L)
+        FabryPerot(j0, 3.0, L)
