@@ -229,16 +229,13 @@ class ClassPolynomial(NamedTuple):
     sigma == J0, and of z^E P_E(1 + 1/z) for a pulse with sigma != J0. A
     path with #T = a and #R = b thus adds z^(b+1) (1+z)^a or z^b (1+z)^a:
     a transmission multiplies by 1 + z and a reflection by z, whatever E
-    is. The self-decay diagram adds 1. `residue` is, for a pulse with
-    sigma != J0, the sum over the paths of -1/(J0 - sigma)
-    (-sigma/(J0 - sigma))^#T (-J0/(J0 - sigma))^#R, and 0 otherwise. A
-    named tuple: a class pass makes hundreds of them.
+    is. The self-decay diagram adds 1. A named tuple: a class pass makes
+    hundreds of them.
     """
 
     qubit: int
     delay: float
     counts: tuple[int, ...]
-    residue: float = 0.0
 
 
 def _gap_units(cfg: ChainConfig) -> tuple[int, tuple[int, ...]]:
@@ -280,11 +277,11 @@ def class_polynomials(cfg: ChainConfig, init: InitialCondition,
 
     A dynamic program over the states (qubit, direction, delay d), with d
     an exact integer in the units of `_gap_units`. Each state carries the
-    polynomial and the residue of `ClassPolynomial` for the paths that
-    reach it, and every hop adds a positive number of units, so the states
-    are expanded once each, in increasing d, from a heap. A state at a
-    finisher adds its polynomial and residue to the emission of its qubit
-    and float delay offset + d / den (two exact delays may round to one).
+    polynomial of `ClassPolynomial` for the paths that reach it, and every
+    hop adds a positive number of units, so the states are expanded once
+    each, in increasing d, from a heap. A state at a finisher adds its
+    polynomial to the emission of its qubit and float delay
+    offset + d / den (two exact delays may round to one).
     A state is dropped once offset + (d + reach) / den reaches t_f, with
     `_reach` its distance to the nearest finisher: a class's delay is
     monotone in d, so no class below t_f is lost. Sorted by delay, then
@@ -310,67 +307,56 @@ def _class_dp(cfg: ChainConfig, init: InitialCondition,
     den, gaps = units
     excited = init.kind == "excited_qubit"
     offset = 0.0 if excited else init.pulse.x0
-    sigma = _pulse_sigma(cfg, init)
-    if sigma is None:
-        start, residue, r_t, r_r = [0, 1], 0.0, 0.0, 0.0
-    else:
-        gap = cfg.j0 - sigma
-        start, residue = [1], -1 / gap
-        r_t, r_r = -sigma / gap, -cfg.j0 / gap
-    states: dict[tuple, list] = {}       # (d, qubit, direction) -> [P, g]
+    start = [0, 1] if _pulse_sigma(cfg, init) is None else [1]
+    states: dict[tuple, list] = {}       # (d, qubit, direction) -> P
     heap: list[tuple] = []
-    emitted: dict[tuple, list] = {}      # (qubit, delay) -> [P, g]
+    emitted: dict[tuple, list] = {}      # (qubit, delay) -> P
 
-    def add(acc, key, p, g) -> bool:
+    def add(acc, key, p) -> bool:
         old = acc.get(key)
-        if old is None:
-            acc[key] = [p, g]
-            return True
-        old[0] = [x + y for x, y in itertools.zip_longest(old[0], p,
-                                                          fillvalue=0)]
-        old[1] += g
-        return False
+        acc[key] = p if old is None else [
+            x + y for x, y in itertools.zip_longest(old, p, fillvalue=0)]
+        return old is None
 
-    def hop(at, direction, d, p, g):
+    def hop(at, direction, d, p):
         nxt = at + direction
         if not 0 <= nxt < n:
             return  # photon leaves the system, branch terminates
         d += gaps[at if direction == 1 else nxt]
         if offset + (d + reach[nxt]) / den < t_f:
             key = (d, nxt, direction)
-            if add(states, key, p, g):
+            if add(states, key, p):
                 heapq.heappush(heap, key)
 
     if excited:
         src = init.qubit
         if src in finishers:
-            emitted[(src, offset)] = [[1], 0.0]
+            emitted[(src, offset)] = [1]
         for direction in (1, -1):
-            hop(src, direction, 0, start, residue)
+            hop(src, direction, 0, start)
     else:
         entry = init.pulse.entry(n)
         if offset + reach[entry] / den < t_f:
             key = (0, entry, int(init.pulse.sign))
-            states[key] = [start, residue]
+            states[key] = start
             heap.append(key)
 
     visited = 0
     while heap:
         key = heapq.heappop(heap)
         d, at, direction = key
-        p, g = states.pop(key)
+        p = states.pop(key)
         visited += 1
         if visited > DIAGRAM_CAP:
             raise HorizonTooLarge(f"class state cap {DIAGRAM_CAP} exceeded "
                                   f"before t_f={t_f}")
         if at in finishers:
-            add(emitted, (at, offset + d / den), p, g)
-        hop(at, direction, d, [x + y for x, y in zip(p + [0], [0] + p)],
-            g * r_t)
-        hop(at, -direction, d, [0] + p, g * r_r)
+            add(emitted, (at, offset + d / den), p)
+        hop(at, direction, d, [x + y for x, y in zip(p + [0], [0] + p)])
+        hop(at, -direction, d, [0] + p)
 
-    out = [ClassPolynomial(at, delay, tuple(p), g)
-           for (at, delay), (p, g) in emitted.items()]
+    out = [ClassPolynomial(at, delay, tuple(p))
+           for (at, delay), p in emitted.items()]
     out.sort(key=lambda c: (c.delay, c.qubit))
     return out, visited
 
@@ -405,27 +391,26 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
     (the self-decay's c = (1,) gives exp(-J0 tau): its momentum integrand
     runs over both branches, 2 J0 / (D^2 + J0^2), of which only the causal
     pole -iJ0 contributes for tau > 0). With it, 1/(u + delta), delta =
-    i(sigma - J0), turns c into the real recurrence, run from the top,
+    i(sigma - J0), turns c into the recurrence, run from the top,
     beta_j = (c_j J0^j - beta_(j+1)) / (J0 - sigma), and the coefficient
-    p sqrt(J0) (-1)^j beta_j / j!; the simple pole at -i sigma gives the
-    term p sqrt(J0) g, with g the polynomial's `residue`. g is carried as
-    a product of factors, never formed from c: that alternating sum would
-    cancel up to ((2 J0 - sigma) / sigma)^E of its digits. The paths of
-    one qubit share the parity of E, so the terms of g share one sign.
+    p sqrt(J0) (-1)^j beta_j / j!. A class function has numerator degree
+    at most E and denominator degree E + 2, so by the initial-value
+    theorem its transform is 0 at tau = 0: the simple pole at -i sigma
+    gives the term -p sqrt(J0) beta_0, the negated tau^0 coefficient.
 
-    With J0 = a / b in integers, J0^(j-1) c_j / j! is formed as the one
-    correctly rounded quotient c_j b a^j / (j! a b^j). With the sigma
-    factor the recurrence runs on gamma_j = beta_j / J0^j,
+    Every coefficient is one correctly rounded quotient of exact integers,
+    times the float p sqrt(J0). With J0 = a / b, J0^(j-1) c_j / j! is
+    c_j b a^j / (j! a b^j). With the exact difference of the two floats
+    J0 - sigma = n / m as well, and K the polynomial's top power,
+    beta_j / j! = N_j / (j! b^K n^(K-j+1)) with
 
-        gamma_j = (c_j - J0 gamma_(j+1)) / (J0 - sigma),
+        N_j = m (c_j a^j (b n)^(K-j) - N_(j+1)),  N_(K+1) = 0.
 
-    from the exact counts, and the coefficient is gamma_j times J0^j / j!,
-    the quotient a^j / (j! b^j). No power of J0 and no j! is a float of
-    its own, so nothing overflows before a coefficient does. A quotient
-    beyond float64 raises IllConditioned; a gamma_j that overflows is inf,
-    and the rounding bound refuses it. (A recurrence on beta_j / j! would
-    round c_j / j! ahead of the recurrence's cancellation: up to 1,466
-    eps from exact rationals at sigma = J0 / 5, where this form keeps 2.)
+    No power of J0, no j! and no partial sum is a float of its own, so
+    nothing overflows before a coefficient does, and the alternating sum
+    beta_0, which in floats would cancel up to ((2 J0 - sigma) / sigma)^E
+    of its digits, is exact. A quotient beyond float64 raises
+    IllConditioned.
 
     Pole orders above 171 raise HorizonTooLarge before any coefficient is
     formed: (m-1)! overflows float64 for a pole of order m.
@@ -443,30 +428,33 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
         raise HorizonTooLarge(f"pole order {top} exceeds {_MAX_ORDER}: "
                               f"({top}-1)! overflows float64")
     a, b = j0.as_integer_ratio()
-    ratio = []                          # J0^j / j! = a^j / (j! b^j) at j
-    pa = pb = 1
+    n = m = 1
+    if sigma is not None:
+        s, t = sigma.as_integer_ratio()
+        n, m = a * t - s * b, b * t         # J0 - sigma = n / m
+        g = math.gcd(n, m)
+        n, m = n // g, m // g
+    ratio, power = [], []                 # a^j and j! b^j; (b n)^j at j
+    pa = pb = pbn = 1
     for j in range(top):
         ratio.append((pa, _FACTORIAL[j] * pb))
-        pa, pb = pa * a, pb * b
-    if sigma is not None:
-        scale = [_quotient(p, q) for p, q in ratio]
+        power.append(pbn)
+        pa, pb, pbn = pa * a, pb * b, pbn * b * n
     out = []
     for c in polys:
-        coeffs = [0j] * len(c.counts)       # tau^j at j
-        if sigma is None:
-            for j, i in enumerate(c.counts):
-                num, den = ratio[j]
-                x = _quotient(i * b * num, a * den)
-                coeffs[j] = pref * (-x if j % 2 else x)
-            out.append([(-1j * j0, coeffs)])
-            continue
-        d = j0 - sigma
-        gamma = 0.0
-        for j in range(len(c.counts) - 1, -1, -1):
-            gamma = (c.counts[j] - j0 * gamma) / d
-            x = gamma * scale[j]
+        k = len(c.counts) - 1
+        coeffs = [0j] * (k + 1)             # tau^j at j
+        acc = 0
+        for j in range(k, -1, -1):
+            num, den = ratio[j]
+            if sigma is None:
+                x = _quotient(c.counts[j] * b * num, a * den)
+            else:
+                acc = m * (c.counts[j] * num * power[k - j] - acc)
+                x = _quotient(acc, den * power[k - j] * n)
             coeffs[j] = pref * (-x if j % 2 else x)
-        out.append([(-1j * sigma, [pref * c.residue]), (-1j * j0, coeffs)])
+        out.append([(-1j * j0, coeffs)] if sigma is None else
+                   [(-1j * sigma, [-coeffs[0]]), (-1j * j0, coeffs)])
     return out
 
 

@@ -11,8 +11,10 @@ class GeometryError(WqedError):
 
 class IllConditioned(WqedError):
     """Rounding could cost the answer its digits: an amplitude series'
-    a-priori rounding bound exceeds evaluator.ROUNDING_TOL, or, in the
-    reference residue step, partial fractions fail their checks."""
+    a-priori rounding bound exceeds evaluator.ROUNDING_TOL, a class
+    coefficient of diagrams.class_rows, an exact quotient of integers, lies
+    beyond float64, or, in the reference residue step, partial fractions
+    fail their checks."""
 
 
 class RealAxisPole(WqedError):

@@ -16,7 +16,8 @@ the diagram engine, never derived from it.
 
 Each term is evaluated only on its support tau >= 0, point by point, so a
 term that has not switched on costs nothing and a value depends on its own
-point alone. The power ratio (J0 tau)^p / p! times exp(-(J0+iW)tau) is a
+point alone; a sum stops at the first term that is past its peak and 0 at
+every point, as every later term underflows too. The power ratio (J0 tau)^p / p! times exp(-(J0+iW)tau) is a
 product of the two only where both stay in float64's normal range; for
 p >= 150, where the direct power overflows, and where exp(-J0 tau)
 underflows, it is one exponential with -J0 tau folded into the logarithm
@@ -72,6 +73,15 @@ def _terms(t, s, first, L, j0, omega, mag):
     inside the previous one's, so each term looks only at those points,
     and the series stops at the first term that has not switched on
     anywhere.
+
+    It also stops at the first term that is exactly 0 at every point, with
+    x = J0 tau <= p - 1 at every point: there each power ratio
+    x^k / k! exp(-x) in the term (k = p, and p - 1 for the external field)
+    is past its peak at x = k. The ratio of k + 2 at x - 2 J0 L is then at
+    most x^2 / ((k + 1) (k + 2)) < 1 times that of k at x, with x <= k
+    again, so every later term is smaller still and underflows too. The
+    bound p - 1 rather than p keeps out the external field's zero at
+    x = p, which is no underflow.
     """
     t, s = (a.ravel() for a in np.broadcast_arrays(t, s))
     i = np.arange(t.size)
@@ -81,8 +91,12 @@ def _terms(t, s, first, L, j0, omega, mag):
         i, tau = i[on], tau[on]
         if not i.size:
             return
-        yield i, (mag(j0 * tau, p, -(j0 + 1j * omega) * tau)
-                  * np.where(tau > 0, 1.0, THETA_AT_ZERO))
+        x = j0 * tau
+        value = (mag(x, p, -(j0 + 1j * omega) * tau)
+                 * np.where(tau > 0, 1.0, THETA_AT_ZERO))
+        if np.all(x <= p - 1) and not value.any():
+            return
+        yield i, value
 
 
 def _series(t, s, first, L, j0, omega, mag):
@@ -116,7 +130,8 @@ def _external_mag(x, p, z):
 
 
 def fermi_e1_terms(t, j0, omega, L):
-    """The terms of e_{+1} that have switched on somewhere in t."""
+    """The terms of e_{+1} that have switched on somewhere in t, up to the
+    first that is past its peak and 0 everywhere (`_terms`)."""
     return _split(t, 1, L, j0, omega, _e1_mag)
 
 
@@ -127,7 +142,8 @@ def fermi_e1(t, j0, omega, L):
 
 
 def fermi_em1_terms(t, j0, omega, L):
-    """The terms of e_{-1} that have switched on somewhere in t."""
+    """The terms of e_{-1} that have switched on somewhere in t, up to the
+    first that is past its peak and 0 everywhere (`_terms`)."""
     return _split(t, 0, L, j0, omega, _power_ratio)
 
 

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import NonConvergence
 from .momentum import RationalFn
 
+#: Largest Im of a pole that check_no_uhp passes: a Fabry-Perot pole on the
+#: real axis, at D = 0, may be rounded slightly above it
+_UHP_MARGIN = 1e-9
 #: Fabry-Perot search rectangle in units of j0: re in [-20, 20], im in [-20, 2]
 DEFAULT_WINDOW = (-20.0, 20.0, -20.0, 2.0)
 
@@ -141,8 +144,9 @@ def find_poles(f: RationalFn | FabryPerot) -> list[complex]:
                   key=lambda z: (z.real, z.imag))
 
 
-def check_no_uhp(f: RationalFn | FabryPerot, margin: float = 1e-9) -> dict:
-    """Report whether every pole `find_poles` lists sits at Im <= margin.
+def check_no_uhp(f: RationalFn | FabryPerot) -> dict:
+    """Report whether every pole `find_poles` lists sits at
+    Im <= _UHP_MARGIN.
 
     Fabry-Perot poles pass on every branch: |W| e^{Re W} = j0 L e^{j0 L}
     forces Re W_k <= j0 L (x e^x increases), so Im D = Re W_k / L - j0 <= 0,
@@ -150,4 +154,4 @@ def check_no_uhp(f: RationalFn | FabryPerot, margin: float = 1e-9) -> dict:
     """
     poles = find_poles(f)
     worst = max((p.imag for p in poles), default=-math.inf)
-    return {"pass": worst <= margin, "poles": poles, "worst_im": worst}
+    return {"pass": worst <= _UHP_MARGIN, "poles": poles, "worst_im": worst}

@@ -2,10 +2,11 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wqed import diagrams, oracle
 from wqed.core import (ChainConfig, InitialCondition, PulseSpec,
@@ -17,7 +18,7 @@ from wqed.diagrams import (ClassPolynomial, Diagram, FinisherSpec,
 from wqed.errors import GeometryError, HorizonTooLarge, IllConditioned
 from wqed.evaluator import excitation_amplitude, field_profile
 from wqed.momentum import (coeff_e, coeff_r, coeff_t, inverse_transform, mul,
-                           pulse_spectrum, simple_pole)
+                           pulse_prefactor, pulse_spectrum, simple_pole)
 
 
 def fermi_cfg(L=1.0, omega=4.0, j0=1.0):
@@ -193,41 +194,52 @@ def _has_sigma_pole(cfg, init):
 
 
 def _path_residue(cfg, init, n_t, n_r):
-    """One path's `ClassPolynomial.residue`, from its closed form
-    (-1)^(E+1) sigma^#T J0^#R / (J0 - sigma)^(E+1), E = #T + #R."""
+    """One path's residue at -i sigma over p sqrt(J0), in exact rationals of
+    the float inputs: (-1)^(E+1) sigma^#T J0^#R / (J0 - sigma)^(E+1),
+    E = #T + #R."""
     if not _has_sigma_pole(cfg, init):
-        return 0.0
-    sigma, e = init.pulse.sigma, n_t + n_r
-    return ((-1) ** (e + 1) * sigma ** n_t * cfg.j0 ** n_r
-            / (cfg.j0 - sigma) ** (e + 1))
+        return Fraction(0)
+    sigma, j0, e = Fraction(init.pulse.sigma), Fraction(cfg.j0), n_t + n_r
+    return (-1) ** (e + 1) * sigma ** n_t * j0 ** n_r / (j0 - sigma) ** (e + 1)
 
 
 def _walk_polynomials(cfg, init, counts):
-    """{(qubit, delay): (counts, residue, sum of |path residues|)} summed
-    path class by path class from counts keyed like `_tree_counts`."""
+    """{(qubit, delay): (counts, residue)} summed path class by path class
+    from counts keyed like `_tree_counts`, the residue exact."""
     sigma_pole = _has_sigma_pole(cfg, init)
     out = {}
     for (fin, delay, n_t, n_r, self_decay), w in counts.items():
-        acc, g, scale = out.get((fin[1], delay), ((), 0.0, 0.0))
+        acc, g = out.get((fin[1], delay), ((), Fraction(0)))
         term = _path_polynomial(n_t, n_r, self_decay, sigma_pole)
         acc = tuple(x + w * y for x, y in itertools.zip_longest(
             acc, term, fillvalue=0))
-        r = w * _path_residue(cfg, init, n_t, n_r)
-        out[(fin[1], delay)] = (acc, g + r, scale + abs(r))
+        out[(fin[1], delay)] = (acc, g + w * _path_residue(cfg, init, n_t,
+                                                           n_r))
     return out
 
 
 def _assert_polynomials_match(polys, cfg, init, counts):
     """The class DP's polynomials against the path counts `counts`: the
-    same (qubit, delay) keys in (delay, qubit) order, equal integer
-    counts, and residues within rounding of the per-path sums."""
+    same (qubit, delay) keys in (delay, qubit) order and equal integer
+    counts. For a pulse with sigma != J0, the -i sigma row of `class_rows`
+    is p sqrt(J0) times the correctly rounded exact sum of the paths'
+    residues, bit for bit."""
     want = _walk_polynomials(cfg, init, counts)
     assert [(c.qubit, c.delay) for c in polys] \
         == sorted(want, key=lambda k: (k[1], k[0]))
-    for c in polys:
-        counts_, g, scale = want[(c.qubit, c.delay)]
+    sigma_pole = _has_sigma_pole(cfg, init)
+    if sigma_pole:
+        spec = init.pulse
+        pref = pulse_prefactor(spec, cfg.omega, cfg.positions[
+            spec.entry(cfg.num_qubits)]) * math.sqrt(cfg.j0)
+    for c, rows in zip(polys, class_rows(cfg, init, polys)):
+        counts_, g = want[(c.qubit, c.delay)]
         assert c.counts == counts_
-        assert abs(c.residue - g) <= 1e-13 * scale
+        assert [pole for pole, _ in rows] == (
+            [-1j * init.pulse.sigma, -1j * cfg.j0] if sigma_pole
+            else [-1j * cfg.j0])
+        if sigma_pole:
+            assert rows[0][1] == [pref * float(g)]
 
 
 def _walk_counts(cfg, init, qubits, t_f):
@@ -414,6 +426,20 @@ def test_classes_match_tree_walk(case):
     assert np.all(np.abs(gl - pl) <= 1e-12 * (scale + 1.0))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cases())
+def test_pulse_rows_cancel_at_their_front(case):
+    """A class function has numerator degree at most E and denominator
+    degree E + 2, so its transform is 0 at tau = 0: for a pulse with
+    sigma != J0, each polynomial's -i sigma row and -iJ0 row sum to
+    exactly 0 there."""
+    cfg, init, t_f, _, _ = case
+    assume(_has_sigma_pole(cfg, init))
+    polys = class_polynomials(cfg, init, tuple(range(cfg.num_qubits)), t_f)
+    for (_, (g,)), (_, coeffs) in class_rows(cfg, init, polys):
+        assert g + coeffs[0] == 0
+
+
 @pytest.mark.parametrize("n, classes, paths", [(8, 36, 139_653),
                                                (4, 44, 28_656)])
 def test_class_figures_at_24L(n, classes, paths):
@@ -563,8 +589,7 @@ def test_class_function_is_the_product_of_coefficients():
         ref = inverse_transform(f, 0.0, cfg.omega)
         sigma_pole = _has_sigma_pole(cfg, init)
         (rows,) = class_rows(cfg, init, [ClassPolynomial(
-            0, 0.0, _path_polynomial(n_t, n_r, self_decay, sigma_pole),
-            _path_residue(cfg, init, n_t, n_r))])
+            0, 0.0, _path_polynomial(n_t, n_r, self_decay, sigma_pole))])
         assert sorted(pole.imag for pole, _ in rows) \
             == sorted(tm.pole.imag for tm in ref)
         for pole, coeffs in rows:

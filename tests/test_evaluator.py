@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -13,7 +14,7 @@ from wqed.diagrams import (ClassPolynomial, FinisherSpec, class_rows,
                            enumerate_diagrams)
 from wqed.evaluator import (causality_probe, excitation_amplitude,
                             field_profile, total_norm)
-from wqed import _kernels, evaluator, fermi, momentum, oracle
+from wqed import _kernels, diagrams, evaluator, fermi, momentum, oracle
 from wqed.errors import HorizonTooLarge, IllConditioned
 
 J0 = 1.0
@@ -345,6 +346,67 @@ def test_rounding_bound_covers_the_kernel(n, start, t_f, omega):
         assert err < rounding_bound(amp, t_f)
 
 
+def _exact_class_values(cfg, init, qubits, t_f, ts):
+    """Each qubit's series over p sqrt(J0) and without its carrier, at the
+    times ts, from the exact rationals of the float inputs: per class
+    polynomial c, the coefficients (-1)^j beta_j / j! of tau^j exp(-J0 tau),
+    beta_j = (c_j J0^j - beta_(j+1)) / (J0 - sigma), and -beta_0 of
+    exp(-sigma tau) (`diagrams.class_rows`), summed in 50-digit decimal.
+    {qubit: [[(delay, value)] at each t]}, Theta(0) = 1/2."""
+    j0, sigma = Fraction(cfg.j0), Fraction(init.pulse.sigma)
+    out = {q: [[] for _ in ts] for q in qubits}
+    with localcontext() as ctx:
+        ctx.prec = 50
+        rate_j0, rate_sigma = (Decimal(x.numerator) / x.denominator
+                               for x in (j0, sigma))
+        for c in diagrams.class_polynomials(cfg, init, qubits, t_f):
+            beta, coeffs = Fraction(0), [Fraction(0)] * len(c.counts)
+            for j in reversed(range(len(c.counts))):
+                beta = (c.counts[j] * j0 ** j - beta) / (j0 - sigma)
+                coeffs[j] = (-1) ** j * beta / math.factorial(j)
+            coeffs = [Decimal(x.numerator) / x.denominator for x in coeffs]
+            for i, t in enumerate(ts):
+                tau = Decimal(t) - Decimal(c.delay)
+                if tau < 0:
+                    continue
+                poly = Decimal(0)
+                for x in reversed(coeffs):
+                    poly = poly * tau + x
+                value = (poly * (-rate_j0 * tau).exp()
+                         - coeffs[0] * (-rate_sigma * tau).exp())
+                out[c.qubit][i].append(
+                    (c.delay, value / 2 if tau == 0 else value))
+    return out
+
+
+@pytest.mark.parametrize("direction", ["right", "left"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_far_sigma_pulse_is_within_its_rounding_bound(n, direction):
+    """n qubits at L = J0 = 1 and a pulse with sigma = 0.3 from x0 = 1/8,
+    through 16 L, at Omega = 37 and 150: the -i sigma terms grow to about
+    270 and cancel against the -iJ0 terms to |e| of about 0.08. Every
+    qubit's series is within its rounding bound (2.2e-12 for qubit 3 of
+    n = 4) of the exact series of the same float inputs at times off every
+    front; the float sigma residue carried along the paths was off by
+    7.6e-11 there."""
+    init = InitialCondition.incident(PulseSpec(0.3, 0.125, direction))
+    ts = np.linspace(0.0, 16.0, 241)[1:-1]
+    exact = _exact_class_values(ChainConfig(n, 0.0, 1.0, 1.0), init,
+                                tuple(range(n)), 16.0, ts)
+    for omega in (37.0, 150.0):
+        cfg_n = ChainConfig(n, omega, 1.0, 1.0)
+        pref = momentum.pulse_prefactor(init.pulse, omega, cfg_n.positions[
+            init.pulse.entry(n)]) * math.sqrt(cfg_n.j0)
+        for q, amp in evaluator.amplitudes(cfg_n, init, tuple(range(n)),
+                                           16.0).items():
+            # the carrier phase is a float, common to a delay's terms
+            want = pref * np.array([sum(
+                complex(float(v)) * cmath.exp(-1j * omega * (t - delay))
+                for delay, v in row) for t, row in zip(ts, exact[q])])
+            err = np.max(np.abs(amp(ts) - want))
+            assert err <= rounding_bound(amp, 16.0), (omega, q)
+
+
 @pytest.mark.parametrize("pole, size", [(0j, 6.0), (1j, 6 * math.e ** 2)])
 def test_rounding_bound_on_terms_that_do_not_decay(pole, size):
     """kappa <= 0: tau^k exp(-kappa tau) peaks at the end of the support,
@@ -625,21 +687,15 @@ def _walk_classes(cfg, init, qubits, t_f):
 
 def _class_terms(cfg, init, n_t, n_r, self_decay):
     """One path class's terms at delay 0: `class_rows` of the polynomial
-    and residue of a single path with #T = n_t and #R = n_r (1 for the
-    self-decay path)."""
+    of a single path with #T = n_t and #R = n_r (1 for the self-decay
+    path)."""
     sigma_pole = init.kind == "pulse" and init.pulse.sigma != cfg.j0
     if self_decay:
-        counts, residue = (1,), 0.0
+        counts = (1,)
     else:
         counts = ((0,) * (n_r + (not sigma_pole))
                   + tuple(math.comb(n_t, k) for k in range(n_t + 1)))
-        residue = 0.0
-        if sigma_pole:
-            sigma, e = init.pulse.sigma, n_t + n_r
-            residue = ((-1) ** (e + 1) * sigma ** n_t * cfg.j0 ** n_r
-                       / (cfg.j0 - sigma) ** (e + 1))
-    (rows,) = class_rows(cfg, init, [ClassPolynomial(0, 0.0, counts,
-                                                     residue)])
+    (rows,) = class_rows(cfg, init, [ClassPolynomial(0, 0.0, counts)])
     return tuple(DelayedTerm(0.0, pole, tuple(c), cfg.omega)
                  for pole, c in rows)
 
@@ -885,41 +941,71 @@ def _errors_in_eps(got, want):
         / np.finfo(float).eps
 
 
+#: unit roundoff, eps / 2, as an exact rational
+_U = Fraction(np.finfo(float).eps) / 2
+
+
+def _float_input_error(got, pref, row):
+    """Largest |c - w|^2 / |w|^2 over a row's coefficients c, exactly, with
+    w the float `pref` times the exact coefficient over it; 0 where
+    c = w = 0, inf where only w = 0."""
+    pre, pim = Fraction(pref.real), Fraction(pref.imag)
+    worst = Fraction(0)
+    for c, (re, im) in zip(got, row, strict=True):
+        wre, wim = pre * re - pim * im, pre * im + pim * re
+        err = (Fraction(c.real) - wre) ** 2 + (Fraction(c.imag) - wim) ** 2
+        size = wre ** 2 + wim ** 2
+        if size:
+            worst = max(worst, err / size)
+        elif err:
+            return math.inf
+    return worst
+
+
 def _merged_and_per_class_errors(cfg, init, t_f, sigma):
-    """Errors, in eps, of the class pass's merged coefficients over the float
-    p sqrt(J0) against exact sums over the tree walk's path classes, and of
-    the per-class float sums (`_class_terms` times the weight, in walk
-    order)."""
+    """Errors of the class pass's merged coefficients against exact sums over
+    the tree walk's path classes: in eps over the float p sqrt(J0) for the
+    exact sigma `sigma` (and of the per-class float sums, `_class_terms`
+    times the weight, in walk order), and as `_float_input_error` against
+    the exact values of the float inputs, the engine's p sqrt(J0) and the
+    float sigma."""
     qubits = tuple(range(cfg.num_qubits))
-    exact, per_class = {}, {}
+    exact, inputs, per_class = {}, {}, {}
     for (q, delay, n_t, n_r, self_decay), weight in _walk_classes(
             cfg, init, qubits, t_f).items():
         if self_decay:
             continue
-        for pole, row in _exact_class_rows(n_t, n_r, sigma,
-                                           Fraction(cfg.j0)).items():
-            acc = exact.setdefault((q, delay, pole), [])
-            acc += [(0, 0)] * (len(row) - len(acc))
-            acc[:] = [(x[0] + weight * y[0], x[1] + weight * y[1])
-                      for x, y in zip(acc, row)]
+        for sums, s in ((exact, sigma), (inputs, None if sigma is None
+                                         else Fraction(init.pulse.sigma))):
+            for pole, row in _exact_class_rows(n_t, n_r, s,
+                                               Fraction(cfg.j0)).items():
+                acc = sums.setdefault((q, delay, pole), [])
+                acc += [(0, 0)] * (len(row) - len(acc))
+                acc[:] = [(x[0] + weight * y[0], x[1] + weight * y[1])
+                          for x, y in zip(acc, row)]
         for tm in _class_terms(cfg, init, n_t, n_r, False):
             acc = per_class.setdefault((q, delay, tm.pole), [])
             acc += [0j] * (len(tm.poly_coeffs) - len(acc))
             acc[:] = [x + y * float(weight)
                       for x, y in zip(acc, tm.poly_coeffs)]
-    p = (math.sqrt(cfg.j0) if init.kind == "excited_qubit"
-         else momentum.pulse_prefactor(init.pulse, cfg.omega, cfg.positions[
-             init.pulse.entry(cfg.num_qubits)]))
+    if init.kind == "excited_qubit":
+        p, engine_pref = math.sqrt(cfg.j0), complex(cfg.j0)
+    else:
+        p = momentum.pulse_prefactor(init.pulse, cfg.omega, cfg.positions[
+            init.pulse.entry(cfg.num_qubits)])
+        engine_pref = p * math.sqrt(cfg.j0)
     pref = p * math.sqrt(cfg.j0)
     got = {(q, tm.delay, tm.pole): tm.poly_coeffs
            for q, amp in evaluator._class_pass(cfg, init, qubits, t_f).items()
            for tm in amp.terms if tm.delay > 0 or init.kind == "pulse"}
-    assert got.keys() == exact.keys()
+    assert got.keys() == exact.keys() == inputs.keys()
     merged = max(_errors_in_eps([c / pref for c in got[key]], row)
                  for key, row in exact.items())
     reference = max(_errors_in_eps([c / pref for c in per_class[key]], row)
                     for key, row in exact.items())
-    return merged, reference
+    float_inputs = max(_float_input_error(got[key], engine_pref, row)
+                       for key, row in inputs.items())
+    return merged, reference, float_inputs
 
 
 @pytest.mark.parametrize("gaps", [(1, 1, 1), (Fraction(7, 8), Fraction(9, 8),
@@ -928,28 +1014,39 @@ def _merged_and_per_class_errors(cfg, init, t_f, sigma):
 def test_merged_class_terms_match_exact_rationals(n, gaps):
     """Excited starts and pulses with sigma = J0, J0/5, 9 J0/10 and 5 J0 at
     12 L, for J0 = 1 and 5/2 (whose J0^j / j! are quotients of integers
-    other than 1 and j!). At sigma = 9 J0/10 the recurrence's
-    1/(J0 - sigma) amplifies rounding, in the per-class sums as much. The
-    sigma-pole residue is summed from the path counts: from the binomial
-    sums I_j it would cancel digits for sigma < J0, about 1000 eps for
-    J0 = 1, sigma = 1/5 with n = 4."""
+    other than 1 and j!). At sigma = 9 J0/10 the 1/(J0 - sigma) of the
+    recurrence amplifies the rounding of the float sigma, in the per-class
+    sums as much.
+
+    Against the exact values of the float inputs every coefficient is
+    within eps (1 + eps / 4) of its own size. It is the float p sqrt(J0)
+    times x, the correctly rounded quotient of exact integers: x = q (1 + d)
+    with |d| <= u = eps / 2, and the real and imaginary parts of the
+    product are rounded once each, with the exact 0 of x's imaginary part
+    adding nothing. So c = P q (1 + d) + (P_re d_re, P_im d_im) x with
+    |d_re|, |d_im| <= u, and |c - P q| <= |P q| (u + u (1 + u)) =
+    |P q| eps (1 + eps / 4). The -i sigma coefficient is the negated tau^0
+    one and keeps its bound."""
+    bound = (2 * _U + _U ** 2) ** 2
     positions = tuple(float(sum(gaps[:k])) for k in range(n))
     for j0 in (Fraction(1), Fraction(5, 2)):
         cfg = ChainConfig(n, 4.0, float(j0), 0.0, positions=positions)
-        merged, _ = _merged_and_per_class_errors(
+        merged, _, float_inputs = _merged_and_per_class_errors(
             cfg, InitialCondition.excited(0), 12.0, None)
         assert merged <= 8
+        assert float_inputs <= bound
         for ratio in (Fraction(1), Fraction(1, 5), Fraction(9, 10),
                       Fraction(5)):
             sigma = ratio * j0
             init = InitialCondition.incident(PulseSpec(float(sigma), 0.5,
                                                        "right"))
-            merged, reference = _merged_and_per_class_errors(
+            merged, reference, float_inputs = _merged_and_per_class_errors(
                 cfg, init, 12.0, None if ratio == 1 else sigma)
             if ratio == Fraction(9, 10):
                 assert merged <= 2 * reference + 2
             else:
                 assert merged <= 8
+            assert float_inputs <= bound
 
 
 # ---------------------------------------------------------------------------

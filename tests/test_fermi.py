@@ -74,19 +74,22 @@ def test_terms_not_yet_switched_on_stay_finite_past_709():
         assert np.all(np.isfinite(series(ts, 1.0, 10.0, 1.0)))
 
 
-@pytest.mark.parametrize("t", [740.0, 760.0])
-def test_deep_markovian_long_times(t):
+@pytest.mark.parametrize("t, points", [(740.0, 55_494), (760.0, 56_446)],
+                         ids=["740.0", "760.0"])
+def test_deep_markovian_long_times(t, points, term_points):
     """At J0 = 1, L = 0.01 and W = 0 the series has settled on -+50/101 (a
     40-digit sum gives that at t = 720, 740 and 760); there x^p / p!
     overflows and exp(-J0 tau) underflows, so each term is one exponential
-    (warnings are errors)."""
-    # the state's e_p1 and e_m1 are fermi_e1 and fermi_em1: one call per t,
-    # as each component sums about 38,000 terms
+    (warnings are errors). Of the about 38,000 terms of each component
+    that have switched on, those past p of about 2,000 underflow to 0 and
+    are not evaluated: at t = 760 the power ratio took 2,128,001 points
+    when every switched-on term was."""
     st = fermi.fermi_full_state(t, np.linspace(-1.0, 1.0, 9), 1.0, 0.0, 0.01)
     for key, val in st.items():
         assert np.all(np.isfinite(val)), key
     assert np.all(np.abs(st["e_p1"] + 50 / 101) < 1e-12)
     assert np.all(np.abs(st["e_m1"] - 50 / 101) < 1e-12)
+    assert sum(term_points) == points
 
 
 def test_collective_rates():
