@@ -11,7 +11,7 @@ integrator and the two-qubit series.
 from .core import (ChainConfig, DelayedTerm, InitialCondition, PulseSpec,
                    TimeSeriesAmplitude, eval_series, eval_term)
 from .diagrams import (Diagram, FinisherSpec, enumerate_diagrams,
-                       finish_excitation, finish_field)
+                       finish_excitation)
 from .errors import (GeometryError, HorizonTooLarge, IllConditioned,
                      NonConvergence, OutOfRange, RealAxisPole, StepTooLarge,
                      WqedError)
@@ -24,7 +24,6 @@ from .momentum import (RationalFn, coeff_e, coeff_r, coeff_t,
                        pulse_spectrum)
 from .oracle import (DDEHistory, convergence_study, integrate_chain,
                      reconstruct_field, single_qubit_alpha)
-from .scattering import (FabryPerot, chain_transmission, check_no_uhp,
-                         find_poles)
+from .scattering import FabryPerot, check_no_uhp, find_poles
 
 __version__ = "0.1.0"

@@ -283,7 +283,7 @@ def _check_no_uhp(cfg) -> dict:
                          "worst_im": float(rep["worst_im"])}
         ok = ok and rep["pass"]
     if cfg.num_qubits >= 2:
-        fp = scattering.chain_transmission(j0, cfg.omega, cfg.separation)
+        fp = scattering.FabryPerot(j0, cfg.omega, cfg.separation)
         rep = scattering.check_no_uhp(fp)
         results["fabry_perot"] = {
             "pass": bool(rep["pass"]), "worst_im": float(rep["worst_im"]),

@@ -26,6 +26,7 @@ from . import _kernels
 THETA_AT_ZERO = 0.5
 _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(float(np.finfo(float).max))
+_TINIEST = math.ulp(0.0)    # 2^-1074
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,6 @@ class ChainConfig:
     @property
     def gamma0(self) -> float:
         return 2.0 * self.j0
-
-    @property
-    def narrow_band(self) -> bool:
-        """True when omega >= 10*j0, the regime the model physically assumes.
-
-        The math below stays valid for any omega; this flag only signals
-        that the rotating-wave premise is being stretched.
-        """
-        return self.omega >= 10.0 * self.j0
 
     @classmethod
     def fermi_pair(cls, j0: float, omega: float, separation: float) -> "ChainConfig":
@@ -176,11 +168,15 @@ class TimeSeriesAmplitude:
     """A finite sum of delayed terms with a label naming the observable.
 
     The terms are the series' only form: `eval_series` and `rounding_bound`
-    read them as they are.
+    read them as they are. `lost` lists the coefficients that float64 holds
+    only below its normal range, as (delay, kappa, power k, log of the
+    exact size) of their terms (`diagrams.class_rows`); `rounding_bound`
+    counts them at their exact size.
     """
 
     terms: tuple[DelayedTerm, ...]
     label: str = ""
+    lost: tuple[tuple[float, float, int, float], ...] = ()
 
     def __call__(self, t):
         return eval_series(self, t)
@@ -200,7 +196,8 @@ class TimeSeriesAmplitude:
             return self
         if any(tm.delay < horizon for tm in self.terms[k:]):
             raise ValueError("terms are not sorted by delay")
-        return TimeSeriesAmplitude(self.terms[:k], self.label)
+        return TimeSeriesAmplitude(self.terms[:k], self.label, tuple(
+            x for x in self.lost if x[0] < horizon))
 
 
 def eval_series(series: TimeSeriesAmplitude, t):
@@ -231,6 +228,20 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
     near 171), over the terms that switch on before t_f; a bound past
     float64 is inf. It sees the cancellation inside a polynomial and
     between terms, which the sum of |term(t)| does not.
+
+    Two limits of float64's range, which the coefficients stored in
+    absolute time can reach below the pole-order cap, are counted as well:
+
+    * a coefficient of `series.lost`, which float64 holds only as 0 or as
+      a subnormal, may be off by all of its exact size |c|, so it adds
+      |c| tau_k^k exp(-kappa tau_k) itself, not eps times it (n = 2,
+      J0 = 0.01, L = 100 at 150 L: 58 coefficients round to 0 and the
+      answer errs by 8.6e-6);
+    * the kernel forms each Horner sum sum_k c_k tau^k before it applies
+      the exponential, and every partial sum at t < t_f is at most
+      sum_k |c_k| s^k, s = max(t_f - delay, 1); where that passes float64
+      the sum may overflow, and the bound is inf (n = 2, J0 = 1000, L = 1
+      at 150 L would be NaN).
 
     What it covers under the grid sweep of `_kernels.eval_terms_grid`:
 
@@ -275,5 +286,25 @@ def rounding_bound(series: TimeSeriesAmplitude, t_f: float) -> float:
             if log > _LOG_MAX:
                 return math.inf         # past float64, as is the bound
             size += math.exp(log)
+        # sum_k |c_k| max(span, 1)^k bounds the kernel's Horner sums. A
+        # peak is at least |c_k| span^k exp(-kappa span), and one that
+        # underflowed is below 2^-1074, so for span >= 1 that sum is below
+        # (size + (d + 1) 2^-1074) exp(kappa span); it is formed only where
+        # this passes float64.
+        horner = 0.0
+        if span < 1:
+            horner = sum(map(abs, tm.poly_coeffs))
+        elif math.log(size + len(tm.poly_coeffs) * _TINIEST) \
+                + kappa * span > _LOG_MAX:
+            for c in reversed(tm.poly_coeffs):
+                horner = horner * span + abs(c)
+        if horner == math.inf:
+            return math.inf             # the kernel's Horner sum may overflow
         total += len(tm.poly_coeffs) * size
-    return _EPS * total
+    lost = 0.0
+    for delay, kappa, k, log_c in series.lost:
+        if delay < t_f:
+            tau = min(k / kappa, t_f - delay)
+            log = log_c - kappa * tau + (k * math.log(tau) if k else 0.0)
+            lost += math.exp(log) if log < _LOG_MAX else math.inf
+    return _EPS * total + lost

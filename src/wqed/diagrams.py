@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import ChainConfig, DelayedTerm, InitialCondition, TimeSeriesAmplitude
@@ -73,7 +73,7 @@ class Diagram(NamedTuple):
 
     `f` is the starter times the scattering coefficients along the path
     (the finisher coefficient is applied by finish_excitation /
-    finish_field). `self_decay` marks the zero-propagator survival diagram
+    field_terms). `self_decay` marks the zero-propagator survival diagram
     of an initially excited qubit, whose momentum integrand runs over both
     momentum branches and therefore does not factor as starter times
     pickup coefficient.
@@ -85,10 +85,6 @@ class Diagram(NamedTuple):
     f: RationalFn
     total_delay: float
     self_decay: bool = False
-
-
-def _starter_excited(j0: float) -> RationalFn:
-    return simple_pole(math.sqrt(j0), -1j * j0)
 
 
 def finish_excitation(cfg: ChainConfig, d: Diagram) -> TimeSeriesAmplitude:
@@ -119,19 +115,6 @@ def field_terms(cfg: ChainConfig, d: Diagram) -> tuple[DelayedTerm, ...]:
         raise GeometryError("diagram does not end in a field finisher")
     _assert_causal(d.f)
     return tuple(inverse_transform(d.f, d.total_delay, cfg.omega))
-
-
-def finish_field(cfg: ChainConfig, d: Diagram, x: float) -> TimeSeriesAmplitude:
-    """Field amplitude read-out of one diagram at position x."""
-    fin = d.finisher
-    lo, hi = field_segment(cfg, d)
-    if not (lo - _GEOM_TOL <= x <= hi + _GEOM_TOL):
-        raise GeometryError(f"x={x} outside the segment owned by this finisher")
-    sign = 1.0 if fin.branch == "right" else -1.0
-    x0 = cfg.positions[fin.qubit]
-    shifted = tuple(replace(tm, delay=tm.delay + sign * (x - x0))
-                    for tm in field_terms(cfg, d))
-    return TimeSeriesAmplitude(shifted, label=f"psi_{fin.branch[0]}:{fin.qubit}")
 
 
 def field_segment(cfg: ChainConfig, d: Diagram) -> tuple[float, float]:
@@ -202,7 +185,7 @@ def enumerate_diagrams(cfg: ChainConfig, init: InitialCondition,
 
     if init.kind == "excited_qubit":
         src = init.qubit
-        f0 = _starter_excited(cfg.j0)
+        f0 = coeff_e(cfg.j0)
         if want_qubit and target.qubit == src:
             emit(target, 0, 0, f0, 0.0, self_decay=True)
         for direction in ("right", "left"):
@@ -364,13 +347,16 @@ def _class_dp(cfg: ChainConfig, init: InitialCondition,
 #: k! for k < _MAX_ORDER, as exact integers, for the correctly rounded
 #: quotients of `class_rows`.
 _FACTORIAL = tuple(math.factorial(k) for k in range(_MAX_ORDER))
+#: float64's smallest normal number: a coefficient below it has lost digits.
+_MIN_NORMAL = 2.0 ** -1022
 
 
 def class_rows(cfg: ChainConfig, init: InitialCondition,
                polys: list[ClassPolynomial]
-               ) -> list[list[tuple[complex, list[complex]]]]:
+               ) -> tuple[list[list[tuple[complex, list[complex]]]], list]:
     """The time-domain terms, at delay 0, of each `ClassPolynomial` of
-    `polys`: one list of (pole, coefficients) rows per polynomial.
+    `polys`: one list of (pole, coefficients) rows per polynomial, and the
+    coefficients lost to underflow, by qubit.
 
     A path with #T = a and #R = b, E = a + b, has the class function
     (starter, a transmissions, b reflections, pickup)
@@ -412,8 +398,20 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
     of its digits, is exact. A quotient beyond float64 raises
     IllConditioned.
 
+    A coefficient is stored in absolute time, so whether it fits in
+    float64 depends on the unit of rate: J0^(j-1) c_j / j! leaves the
+    normal range at large j for J0 < 1. A nonzero coefficient stored as 0
+    or as a subnormal is listed under its qubit as (delay, J0, j, log of
+    its exact size), an entry of the `lost` of `core.TimeSeriesAmplitude`,
+    which `core.rounding_bound` counts at that exact size. The -i sigma
+    row's one coefficient has the size of the tau^0 coefficient; below the
+    normal range it is below rounding at any tau, and is not listed.
+
     Pole orders above 171 raise HorizonTooLarge before any coefficient is
-    formed: (m-1)! overflows float64 for a pole of order m.
+    formed. The factorials here are exact integers; the cap is where, at
+    J0 = 1, the coefficients leave the normal range: 1/171! = 8.1e-310,
+    the top coefficient of a pole of order 172, is subnormal. At other J0
+    they may leave it earlier, and are then listed as lost.
     """
     j0 = cfg.j0
     sigma = _pulse_sigma(cfg, init)
@@ -425,8 +423,7 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
             spec.entry(cfg.num_qubits)]) * math.sqrt(j0)
     top = max((len(c.counts) for c in polys), default=0)
     if top > _MAX_ORDER:
-        raise HorizonTooLarge(f"pole order {top} exceeds {_MAX_ORDER}: "
-                              f"({top}-1)! overflows float64")
+        raise HorizonTooLarge(f"pole order {top} exceeds {_MAX_ORDER}")
     a, b = j0.as_integer_ratio()
     n = m = 1
     if sigma is not None:
@@ -440,7 +437,8 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
         ratio.append((pa, _FACTORIAL[j] * pb))
         power.append(pbn)
         pa, pb, pbn = pa * a, pb * b, pbn * b * n
-    out = []
+    out, lost = [], {}
+    tiny = _MIN_NORMAL / abs(pref)        # |pref x| below the normal range
     for c in polys:
         k = len(c.counts) - 1
         coeffs = [0j] * (k + 1)             # tau^j at j
@@ -448,14 +446,18 @@ def class_rows(cfg: ChainConfig, init: InitialCondition,
         for j in range(k, -1, -1):
             num, den = ratio[j]
             if sigma is None:
-                x = _quotient(c.counts[j] * b * num, a * den)
+                p, q = c.counts[j] * b * num, a * den
             else:
                 acc = m * (c.counts[j] * num * power[k - j] - acc)
-                x = _quotient(acc, den * power[k - j] * n)
+                p, q = acc, den * power[k - j] * n
+            x = _quotient(p, q)
             coeffs[j] = pref * (-x if j % 2 else x)
+            if p and x < tiny and -tiny < x:
+                lost.setdefault(c.qubit, []).append((c.delay, j0, j, math.log(
+                    abs(pref)) + math.log(abs(p)) - math.log(abs(q))))
         out.append([(-1j * j0, coeffs)] if sigma is None else
                    [(-1j * sigma, [-coeffs[0]]), (-1j * j0, coeffs)])
-    return out
+    return out, lost
 
 
 def _quotient(p: int, q: int) -> float:

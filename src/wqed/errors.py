@@ -24,8 +24,11 @@ class RealAxisPole(WqedError):
 class HorizonTooLarge(WqedError):
     """The horizon is out of reach: the tree walk's paths or the class
     program's expanded states would exceed diagrams.DIAGRAM_CAP, or a pole
-    order would exceed 171, past which the residue coefficient's (k-1)!
-    overflows float64."""
+    order k would exceed 171. Past it, at J0 = 1, the residue coefficient
+    1/(k-1)! is subnormal (1/171! = 8.1e-310), and the float (k-1)! of the
+    reference residue step, momentum.inverse_transform, overflows. At other
+    J0 a coefficient may leave float64's normal range earlier; the rounding
+    bound counts that, and IllConditioned refuses it."""
 
 
 class StepTooLarge(WqedError):

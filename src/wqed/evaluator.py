@@ -108,14 +108,17 @@ def _class_pass(cfg: ChainConfig, init: InitialCondition,
     One integer dynamic program (`diagrams.class_polynomials`) sums the
     paths of every (finishing qubit, delay) into one polynomial, and
     `diagrams.class_rows` turns each polynomial into its rows at once; a
-    qubit's rows are its terms (`merge_terms`).
+    qubit's rows are its terms (`merge_terms`), and its coefficients lost
+    to underflow are its series' `lost`.
     """
     rows: dict[int, list] = {q: [] for q in qubits}
     polys = class_polynomials(cfg, init, qubits, t_f)
-    for c, poly_rows in zip(polys, class_rows(cfg, init, polys)):
+    all_rows, lost = class_rows(cfg, init, polys)
+    for c, poly_rows in zip(polys, all_rows):
         rows[c.qubit] += [(c.delay, pole, coeffs)
                           for pole, coeffs in poly_rows]
-    return {q: TimeSeriesAmplitude(merge_terms(r, cfg.omega), label=f"e:{q}")
+    return {q: TimeSeriesAmplitude(merge_terms(r, cfg.omega), f"e:{q}",
+                                   tuple(lost.get(q, ())))
             for q, r in rows.items()}
 
 

@@ -39,7 +39,6 @@ from .errors import HorizonTooLarge, IllConditioned, RealAxisPole
 
 _MERGE_RTOL = 1e-12     # coincident poles merge into higher multiplicity
 _SPLIT_ATOL = 1e-9      # distinct poles closer than this are ill-conditioned
-_TRIM_RTOL = 1e-13      # relative cutoff for trailing numerator noise
 _MAX_ORDER = 171        # (k-1)! overflows float64 for larger pole orders k
 
 
@@ -55,15 +54,6 @@ def _canonical_poles(poles) -> tuple[tuple[complex, int], ...]:
     return tuple((p, m) for p, m in merged)
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    mags = np.abs(coeffs)
-    top = mags.max() if mags.size else 0.0
-    keep = len(coeffs)
-    while keep > 1 and mags[keep - 1] <= _TRIM_RTOL * top:
-        keep -= 1
-    return coeffs[:keep]
-
-
 @dataclass(frozen=True)
 class RationalFn:
     """numerator(D) / prod (D - p)^m with a monic denominator.
@@ -77,8 +67,8 @@ class RationalFn:
     poles: tuple[tuple[complex, int], ...]     # canonical order
 
     def __post_init__(self):
-        coeffs = _trim(np.asarray(self.numer, dtype=complex))
-        object.__setattr__(self, "numer", tuple(coeffs))
+        object.__setattr__(self, "numer",
+                           tuple(np.asarray(self.numer, dtype=complex)))
         object.__setattr__(self, "poles", _canonical_poles(self.poles))
         if len(self.numer) - 1 > self.total_multiplicity:
             raise ValueError("numerator degree exceeds denominator degree")

@@ -28,8 +28,8 @@ makes one RK4 step the linear recurrence a' = R a + f, which the kernel
 solves in closed form, one cumulative sum per chunk of at most 1/(|g| dt)
 steps (g = gamma0/2), so that |R|^-chunk <= e.
 
-The diagram engine is imported only for `convergence_study`'s default
-reference; the integrator itself exists to check it.
+The diagram engine is imported only as `convergence_study`'s reference; the
+integrator itself exists to check it.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class DDEHistory:
     @property
     def horizon(self) -> float:
         return self.start + (self.alpha.shape[0] - 1) * self.dt
-
-    @property
-    def num_qubits(self) -> int:
-        return self.alpha.shape[1]
 
     def times(self) -> np.ndarray:
         return self.start + np.arange(self.alpha.shape[0]) * self.dt
@@ -167,17 +163,17 @@ def step_divisor(L: float, m: int, gamma0: float) -> int:
     return m
 
 
-def single_qubit_alpha(t, gamma0: float, dt: float = 1e-3):
+def single_qubit_alpha(t, gamma0: float):
     """Lone-qubit amplitude in both time directions, integrated: RK4 on
     d alpha/dt = -(gamma0/2) sign(t) alpha from 0 towards t (the sign makes
     the solution decay into both past and future), an independent check
-    of the closed form exp(-gamma0*|t|/2).
+    of the closed form exp(-gamma0*|t|/2), in steps of at most 1e-3.
     """
     tt = float(t)
     if tt == 0.0:
         return 1.0 + 0j
     sgn = 1.0 if tt > 0 else -1.0
-    n = max(1, int(math.ceil(abs(tt) / dt)))
+    n = max(1, int(math.ceil(abs(tt) / 1e-3)))
     h = tt / n
     rate = -(gamma0 / 2.0) * sgn
     a = 1.0 + 0j
@@ -232,24 +228,21 @@ def reconstruct_field(history: DDEHistory, cfg: ChainConfig, x: float, t: float,
     return psi_r, psi_l
 
 
-def convergence_study(cfg: ChainConfig, init: InitialCondition, t_f: float,
-                      reference=None, fractions=(32, 64, 128, 256)) -> dict:
-    """Self-convergence of the integrator against an analytic reference.
-
-    `reference` maps (qubit, times array) -> exact e_qubit values; when
-    omitted, the diagram engine's closed form is used. Raises NonConvergence
-    if the observed RK4 order drops below 3.5.
+def convergence_study(cfg: ChainConfig, init: InitialCondition,
+                      t_f: float) -> dict:
+    """Convergence of the integrator against the diagram engine's closed
+    form, at the steps L / f for f = 32, 64, 128 and 256 (refined by a
+    common power of two where gamma0 needs it). Raises NonConvergence if
+    the observed RK4 order drops below 3.5.
     """
-    if reference is None:
-        from .evaluator import all_amplitudes
-        amps = all_amplitudes(cfg, init, t_f)
-        reference = lambda q, ts: amps[q](ts)
+    from .evaluator import all_amplitudes
+    amps = all_amplitudes(cfg, init, t_f)
     # lone qubit has no delay mesh to honor; pick a step base small enough
     # for the coarsest fraction to satisfy the 0.05/gamma0 limit
     L = cfg.separation if cfg.num_qubits > 1 else 0.8 / cfg.gamma0
     # refine every fraction by the power of two the coarsest one needs
-    scale = step_divisor(L, min(fractions), cfg.gamma0) // min(fractions)
-    dts = [L / (f * scale) for f in fractions]
+    scale = step_divisor(L, 32, cfg.gamma0) // 32
+    dts = [L / (f * scale) for f in (32, 64, 128, 256)]
     errors = []
     for dt in dts:
         hist = integrate_chain(cfg, init, t_f, dt)
@@ -259,7 +252,7 @@ def convergence_study(cfg: ChainConfig, init: InitialCondition, t_f: float,
         err = 0.0
         for q in range(cfg.num_qubits):
             err = max(err, float(np.max(np.abs(
-                hist.amplitudes(q)[1:] - np.asarray(reference(q, ts))))))
+                hist.amplitudes(q)[1:] - amps[q](ts)))))
         errors.append(err)
     orders = [math.log2(a / b) if b > 0 else math.inf
               for a, b in zip(errors, errors[1:])]

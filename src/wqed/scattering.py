@@ -65,15 +65,6 @@ class FabryPerot:
         return (delta + 1j * j0) ** 2 + j0 * j0 * np.exp(2j * k * self.L)
 
 
-def chain_transmission(j0: float, omega: float, L: float) -> FabryPerot:
-    """Transmission through two qubits separated by L.
-
-    Geometric sum of all internal round trips:
-    T = t^2 e^{ikL} / (1 - r^2 e^{2ikL}), k = omega + delta.
-    """
-    return FabryPerot(j0, omega, L)
-
-
 def transmission_partial_sum(f: FabryPerot, delta, n_max: int):
     """Truncated round-trip sum; cross-check of the geometric closed form."""
     delta = np.asarray(delta, dtype=complex)

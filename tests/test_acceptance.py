@@ -169,7 +169,7 @@ def test_criterion_5_markovian_limit():
         om = (th if th > 0 else 2 * np.pi) / L
         worst_amp = max(worst_amp, float(np.max(np.abs(
             fermi.fermi_e1(ts, j0, om, L) - fermi.markovian_e1(ts, g0, th, om)))))
-        poles = scattering.find_poles(scattering.chain_transmission(j0, om, L))
+        poles = scattering.find_poles(scattering.FabryPerot(j0, om, L))
         for pred in (-1j * g0 * (1 + np.exp(1j * th)) / 2,
                      -1j * g0 * (1 - np.exp(1j * th)) / 2):
             worst_pole = max(worst_pole,
@@ -247,7 +247,7 @@ def test_criterion_8_no_uhp():
     for th in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi):
         for L in (0.1, 1.0, 5.0):
             om = (th if th > 0 else 2 * np.pi) / L
-            rep = scattering.check_no_uhp(scattering.chain_transmission(1.0, om, L))
+            rep = scattering.check_no_uhp(scattering.FabryPerot(1.0, om, L))
             ok = ok and rep["pass"]
             count += 1
     bad = simple_pole(1.0, 0.5 + 1j)

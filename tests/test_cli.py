@@ -324,6 +324,18 @@ def test_unknown_observable_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("observable, message", [
+    ("x:0", "unknown observable 'x:0'"),
+    ("e:9", "observable 'e:9' out of range")])
+def test_bad_observable_exits_2_with_an_error_line(tmp_path, capsys,
+                                                   observable, message):
+    conf = _write_config(tmp_path)
+    rc = cli.main(["simulate", conf, "--out", str(tmp_path / "o.csv"),
+                   "--observables", observable])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_config_file_exits_2(tmp_path):
     rc = cli.main(["simulate", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o.csv"), "--observables", "e:0"])

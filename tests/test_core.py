@@ -28,11 +28,6 @@ def test_chain_validation():
         ChainConfig(2, 1.0, 1.0, 1.0, positions=(0.0,))
 
 
-def test_narrow_band_flag():
-    assert ChainConfig(1, 20.0, 1.0, 0.0).narrow_band
-    assert not ChainConfig(1, 3.0, 1.0, 0.0).narrow_band
-
-
 def test_pulse_spec_validation():
     PulseSpec(1.0, 2.0, "left")
     with pytest.raises(ValueError):
@@ -52,6 +47,11 @@ def test_initial_condition_kinds():
         InitialCondition("pulse")
     with pytest.raises(ValueError):
         InitialCondition("banana")
+
+
+def test_delayed_term_needs_coefficients():
+    with pytest.raises(ValueError):
+        DelayedTerm(0.0, -1j, (), 0.0)
 
 
 def test_eval_term_causal():

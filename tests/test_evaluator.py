@@ -416,6 +416,54 @@ def test_rounding_bound_on_terms_that_do_not_decay(pole, size):
     assert bound == pytest.approx(size * np.finfo(float).eps, rel=1e-14)
 
 
+@pytest.mark.parametrize("coeffs, pole, t_f", [
+    ((0.0,) * 200 + (1.0,), -1j, 300.0),
+    ((0.0,) * 150 + (1.0,), -1000j, 150.0),
+    ((0.0,) * 150 + (1.0,), -10000j, 150.0)],
+    ids=["term", "horner", "horner-peak-underflows"])
+def test_rounding_bound_past_float64_is_inf(coeffs, pole, t_f):
+    """tau^200 exp(-tau) peaks at e^860 (tau = 200): the term's own size
+    passes float64. With kappa = 1000 the term tau^150 exp(-1000 tau) peaks
+    far below 1 (at kappa = 10^4, at e^-780, which is 0 in float64), but
+    the kernel forms the Horner sum tau^150 first, and at tau = 150 that
+    is e^751."""
+    term = DelayedTerm(0.0, pole, coeffs, 0.0)
+    assert rounding_bound(TimeSeriesAmplitude((term,)), t_f) == math.inf
+
+
+@pytest.mark.parametrize("j0, spacing, events", [(0.01, 100.0, 150),
+                                                 (1000.0, 1.0, 150)])
+def test_unit_of_rate_past_float64_is_refused(j0, spacing, events):
+    """The class coefficients J0^(j-1) c_j / j! are stored in absolute
+    time. At J0 = 0.01, 58 nonzero coefficients round to 0 and the answer
+    errs by 8.6e-6 (at J0 = 1 the same J0 L = 1 answers to the cap); at
+    J0 = 1000, L = 1 the Horner sums overflow and the answer is NaN.
+    Without counting that, both bounds read about 5e-14."""
+    cfg_u = ChainConfig.fermi_pair(j0, 10.0, spacing)
+    with pytest.raises(IllConditioned):
+        evaluator.amplitudes(cfg_u, InitialCondition.excited(0), (0, 1),
+                             events * spacing)
+
+
+@pytest.mark.parametrize("j0, spacing, events", [
+    (0.01, 1.0, 150), (0.01, 100.0, 130), (1000.0, 1.0, 120)])
+def test_unit_of_rate_within_float64_answers(j0, spacing, events):
+    """The same chain where the coefficients lost to underflow have terms
+    below 2.2e-10 (at spacing 1, below 1e-150) and the Horner sums stay in
+    range: the answers match the two-qubit series."""
+    cfg_u = ChainConfig.fermi_pair(j0, 10.0, spacing)
+    t_f = events * spacing
+    amps = evaluator.amplitudes(cfg_u, InitialCondition.excited(0), (0, 1),
+                                t_f)
+    ts = np.linspace(0.0, t_f, 1501, endpoint=False)[1:]
+    np.testing.assert_allclose(amps[0](ts),
+                               fermi.fermi_em1(ts, j0, 10.0, spacing),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(amps[1](ts),
+                               fermi.fermi_e1(ts, j0, 10.0, spacing),
+                               rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("init", [
     InitialCondition.excited(1),
     InitialCondition.incident(PulseSpec(0.7, 1.0, "right")),
@@ -695,7 +743,7 @@ def _class_terms(cfg, init, n_t, n_r, self_decay):
     else:
         counts = ((0,) * (n_r + (not sigma_pole))
                   + tuple(math.comb(n_t, k) for k in range(n_t + 1)))
-    (rows,) = class_rows(cfg, init, [ClassPolynomial(0, 0.0, counts)])
+    (rows,), _ = class_rows(cfg, init, [ClassPolynomial(0, 0.0, counts)])
     return tuple(DelayedTerm(0.0, pole, tuple(c), cfg.omega)
                  for pole, c in rows)
 

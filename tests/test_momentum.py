@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from wqed.core import eval_term
-from wqed.errors import IllConditioned, RealAxisPole
+from wqed.errors import HorizonTooLarge, IllConditioned, RealAxisPole
 from wqed.momentum import (RationalFn, coeff_e, coeff_r, coeff_t,
                            inverse_transform, mul, partial_fractions,
                            pulse_spectrum, simple_pole)
@@ -69,6 +69,13 @@ def test_ill_conditioned_near_poles():
 def test_real_axis_pole_rejected():
     f = RationalFn((1.0,), ((0.5 + 0j, 1),))
     with pytest.raises(RealAxisPole):
+        inverse_transform(f, 0.0, 0.0)
+
+
+def test_inverse_transform_refuses_pole_order_172():
+    """(k - 1)! passes float64 for a pole of order k = 172."""
+    f = RationalFn((1.0,), ((-1j, 172),))
+    with pytest.raises(HorizonTooLarge):
         inverse_transform(f, 0.0, 0.0)
 
 

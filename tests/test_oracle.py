@@ -51,11 +51,15 @@ def test_step_too_large_errors():
     cfg = ChainConfig.fermi_pair(1.0, 3.7, 0.5)
     init = InitialCondition.excited(0)
     with pytest.raises(StepTooLarge):
-        oracle.integrate_chain(cfg, init, 2.0, 0.5 / 4)   # > L/8
+        oracle.integrate_chain(cfg, init, 2.0, 0.5 / 4)   # > 0.05/gamma0
     with pytest.raises(StepTooLarge):
         oracle.integrate_chain(cfg, init, 2.0, 0.03)      # > 0.05/gamma0
     with pytest.raises(StepTooLarge):
         oracle.integrate_chain(cfg, init, 2.0, 0.5 / 100.5)  # off-mesh
+    # dt = L/4 divides L and is within 0.05/gamma0 = 2.5: only L/8 refuses
+    with pytest.raises(StepTooLarge, match="exceeds L/8"):
+        oracle.integrate_chain(ChainConfig.fermi_pair(0.01, 3.7, 1.0), init,
+                               2.0, 0.25)
 
 
 def test_history_interpolation_accuracy():

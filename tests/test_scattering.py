@@ -10,26 +10,25 @@ import pytest
 
 import wqed
 from wqed.momentum import coeff_e, coeff_r, coeff_t, simple_pole
-from wqed.scattering import (FabryPerot, _lambertw, chain_transmission,
-                             check_no_uhp, find_poles,
+from wqed.scattering import (FabryPerot, _lambertw, check_no_uhp, find_poles,
                              transmission_partial_sum)
 
 
 def test_transmission_resonance_zero():
-    f = chain_transmission(1.0, 10.0, 1.0)
+    f = FabryPerot(1.0, 10.0, 1.0)
     assert abs(f(0.0)) < 1e-12
 
 
 def test_transmission_large_detuning_free_phase():
     j0, om, L = 1.0, 10.0, 1.0
-    f = chain_transmission(j0, om, L)
+    f = FabryPerot(j0, om, L)
     d = 1e6
     free = np.exp(1j * (om + d) * L)
     assert f(d) == pytest.approx(free, rel=1e-5)
 
 
 def test_geometric_sum_identity():
-    f = chain_transmission(1.0, 7.0, 0.8)
+    f = FabryPerot(1.0, 7.0, 0.8)
     rng = np.random.default_rng(11)
     pts = rng.uniform(-5, 5, 30) + 1j * rng.uniform(-1.5, 0.5, 30)
     for d in pts:
@@ -64,7 +63,7 @@ def test_fabry_perot_markov_poles():
     j0, L = 1.0, 1e-3
     g0 = 2 * j0
     th = 1.1
-    f = chain_transmission(j0, th / L, L)
+    f = FabryPerot(j0, th / L, L)
     poles = find_poles(f)
     pred = sorted([-1j * g0 * (1 + np.exp(1j * th)) / 2,
                    -1j * g0 * (1 - np.exp(1j * th)) / 2],
@@ -76,7 +75,7 @@ def test_fabry_perot_markov_poles():
 
 
 def test_pole_verification_and_dedup():
-    f = chain_transmission(1.0, 7.0, 0.5)
+    f = FabryPerot(1.0, 7.0, 0.5)
     poles = find_poles(f)
     for p in poles:
         assert abs(f.denominator(p)) < 1e-10
@@ -89,7 +88,7 @@ def test_no_uhp_sweep():
     for th in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi):
         for L in (0.1, 1.0, 5.0):
             om = (th if th > 0 else 2 * np.pi) / L
-            rep = check_no_uhp(chain_transmission(1.0, om, L))
+            rep = check_no_uhp(FabryPerot(1.0, om, L))
             assert rep["pass"], (th, L, rep["worst_im"])
 
 
@@ -111,7 +110,7 @@ def _winding_count(f: FabryPerot, n: int = 200_000) -> int:
 @pytest.mark.parametrize("j0, omega, L, expected",
                          [(1.0, 146.0, 6.0, 77), (1.0, 3.7, 1.0, 14)])
 def test_pole_count_matches_argument_principle(j0, omega, L, expected):
-    f = chain_transmission(j0, omega, L)
+    f = FabryPerot(j0, omega, L)
     assert _winding_count(f) == expected
     assert len(find_poles(f)) == expected
 
@@ -168,7 +167,5 @@ def test_runtime_imports_leave_out_scipy():
 @pytest.mark.parametrize("j0, L", [(1.0, 0.0), (1.0, -1.0), (0.0, 1.0),
                                    (-1.0, 1.0), (1.0, math.nan)])
 def test_fabry_perot_rejects_nonpositive_j0_or_L(j0, L):
-    with pytest.raises(ValueError):
-        chain_transmission(j0, 3.0, L)
     with pytest.raises(ValueError):
         FabryPerot(j0, 3.0, L)
